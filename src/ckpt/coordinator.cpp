@@ -314,16 +314,19 @@ void Coordinator::report_written(int rank) {
 
 void Coordinator::report_done(int rank) {
   common::MutexLock lock(mutex_);
-  ranks_[static_cast<std::size_t>(rank)].done = true;
-  wake_all_locked();
+  auto& state = ranks_[static_cast<std::size_t>(rank)];
+  if (state.done) return;
+  state.done = true;
+  // Ranks parked in at_finalize wait for all-done or a phase change, so
+  // only the last finisher wakes them. A drain needs no wakeup here: the
+  // finishing rank's own finalize report drives write entry and the p2p
+  // cascade.
+  if (++done_count_ == world_size_) wake_all_locked();
 }
 
 bool Coordinator::all_done() const {
   common::MutexLock lock(mutex_);
-  for (const auto& r : ranks_) {
-    if (!r.done) return false;
-  }
-  return true;
+  return done_count_ == world_size_;
 }
 
 std::vector<Coordinator::CycleStats> Coordinator::cycle_stats() const {

@@ -163,8 +163,10 @@ class Coordinator {
   // --- job completion ------------------------------------------------------------
   /// Rank's application function returned. Ranks stay responsive (parked,
   /// consuming drain traffic) until the whole job is done so that late
-  /// checkpoints still terminate.
+  /// checkpoints still terminate. Idempotent: a repeated report counts
+  /// once. Wakes every rank exactly once, on the transition to all-done.
   void report_done(int rank);
+  /// Every rank has reported done. O(1).
   [[nodiscard]] bool all_done() const;
 
   // --- post-run statistics ------------------------------------------------------
@@ -218,6 +220,8 @@ class Coordinator {
   std::map<std::uint64_t, std::uint64_t> targets_ MANATEE_GUARDED_BY(mutex_);
   std::uint64_t targets_version_ MANATEE_GUARDED_BY(mutex_) = 0;
   std::vector<RankState> ranks_ MANATEE_GUARDED_BY(mutex_);
+  /// Ranks with RankState::done set (persists across cycles).
+  int done_count_ MANATEE_GUARDED_BY(mutex_) = 0;
   /// cycle -> targets forced by the p2p cascade (persists across cycles
   /// for the oracle).
   std::map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>> forced_

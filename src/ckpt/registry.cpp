@@ -1,5 +1,6 @@
 #include "ckpt/registry.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -42,12 +43,27 @@ std::map<std::string, std::vector<std::byte>> Registry::capture() const {
   return out;
 }
 
+void Registry::refresh(Segment& seg, std::size_t offset, std::size_t length) {
+  if (length != 0) {
+    std::memcpy(seg.shadow.data() + offset, seg.live.data() + offset, length);
+  }
+}
+
 void Registry::sync_shadow() {
   if (detached_) return;
+  for (auto& [name, seg] : segments_) refresh(seg, 0, seg.live.size());
+}
+
+void Registry::sync_shadow(const std::byte* ptr, std::size_t length) {
+  if (detached_ || length == 0) return;
+  const auto lo = reinterpret_cast<std::uintptr_t>(ptr);
+  const auto hi = lo + length;
   for (auto& [name, seg] : segments_) {
-    if (!seg.live.empty()) {
-      std::memcpy(seg.shadow.data(), seg.live.data(), seg.live.size());
-    }
+    const auto begin = reinterpret_cast<std::uintptr_t>(seg.live.data());
+    const auto end = begin + seg.live.size();
+    const auto from = std::max(lo, begin);
+    const auto to = std::min(hi, end);
+    if (from < to) refresh(seg, from - begin, to - from);
   }
 }
 

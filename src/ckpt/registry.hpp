@@ -50,10 +50,19 @@ class Registry {
   [[nodiscard]] std::map<std::string, std::vector<std::byte>> capture() const;
 
   /// Refresh every segment's owned shadow copy from its live span. The
-  /// wrapper layer calls this at op boundaries — the resumable-execution
-  /// contract guarantees registered state only mutates inside wrapped
-  /// operations, so a boundary shadow is exact at every legal capture point.
+  /// wrapper layer calls this after a once() block, the one operation that
+  /// may write any registered byte.
   void sync_shadow();
+
+  /// Refresh the shadow of exactly the registered bytes inside
+  /// [ptr, ptr + length): the overlap with every segment it touches, and
+  /// nothing when it touches none. The wrapper layer calls this with the
+  /// span an operation wrote (a receive buffer, a collective's output), so
+  /// a failure-free op costs O(bytes written), not O(registered bytes).
+  /// The resumable-execution contract — registered state only mutates
+  /// inside wrapped operations — keeps every shadow byte exact at op
+  /// boundaries. No-op once detached.
+  void sync_shadow(const std::byte* ptr, std::size_t length);
 
   /// The application function returned: its frame (and thus every live
   /// span) is about to die. Freeze the shadows — a checkpoint that catches
@@ -82,6 +91,9 @@ class Registry {
     std::span<std::byte> live;      ///< app memory; dangles after detach()
     std::vector<std::byte> shadow;  ///< owned copy, exact at op boundaries
   };
+
+  /// Copy live[offset, offset + length) into the shadow.
+  static void refresh(Segment& seg, std::size_t offset, std::size_t length);
 
   std::map<std::string, Segment> segments_;
   bool detached_ = false;

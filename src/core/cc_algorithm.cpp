@@ -311,7 +311,9 @@ void CcManager::poll() {
 void CcManager::at_finalize() {
   coordinator_.report_done(rank_.world_rank());
   // Stay until the whole job is done AND no checkpoint cycle is pending —
-  // a request that lands as ranks finish must still complete.
+  // a request that lands as ranks finish must still complete. The loop
+  // wakes on deliveries, phase changes, target-table updates, and the last
+  // finisher's report_done; a peer finishing earlier changes nothing here.
   while (!coordinator_.all_done() ||
          coordinator_.phase() != ckpt::CkptPhase::kIdle) {
     const auto phase = coordinator_.phase();

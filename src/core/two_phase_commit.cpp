@@ -40,7 +40,10 @@ void TpcManager::pre_collective(const umpi::CommPtr& comm) {
       parked = true;
     }
     if (rank_.test(barrier)) break;
-    if (rank_.runtime().stop_requested()) throw JobStopping{};
+    if (rank_.runtime().stop_requested()) {
+      rank_.cancel_all();
+      throw JobStopping{};
+    }
     if (rank_.runtime().aborted()) {
       throw RuntimeFault("peer rank failed during 2PC barrier");
     }

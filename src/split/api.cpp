@@ -79,21 +79,18 @@ bool Api::begin_op() {
   return skip;
 }
 
-void Api::sync_registry_shadow() {
+void Api::sync_registry_shadow(std::span<const std::byte> written) {
   // Keep the registry's shadow exact at op/wait boundaries: if this turns
   // out to be the app's last mutation, a late checkpoint (caught in
-  // at_finalize, app frame gone) captures this state. Native runs never
-  // checkpoint, so they skip the copy. The store's delivery lock excludes
-  // peers concurrently completing posted receives into registered buffers
-  // while the shadow reads them.
+  // at_finalize, app frame gone) captures this state. The shadow is read
+  // only after detach(), so each op refreshes just the bytes it wrote; the
+  // span is complete, so no peer writes it concurrently. Native runs never
+  // checkpoint, so they skip the copy.
   if (engine_.config().protocol == Protocol::kNative) return;
-  rank_.store().with_delivery_lock([&] { ctx_.registry.sync_shadow(); });
+  ctx_.registry.sync_shadow(written.data(), written.size());
 }
 
-void Api::end_op() {
-  ++ops_completed_;
-  sync_registry_shadow();
-}
+void Api::end_op() { ++ops_completed_; }
 
 void Api::replay_caught_up() {
   ctx_.replay_done_clock = rank_.clock().now();
@@ -162,6 +159,7 @@ void Api::maybe_stop_after_checkpoint() {
   if (!engine_.config().stop_after_checkpoint) return;
   if (engine_.coordinator().completed_cycles() > 0 &&
       engine_.coordinator().phase() == ckpt::CkptPhase::kIdle) {
+    rank_.cancel_all();
     throw StopAfterCheckpoint{};
   }
 }
@@ -178,6 +176,9 @@ void Api::register_state(const std::string& name, std::span<std::byte> data) {
         throw CheckpointError("restored segment '" + name + "' size mismatch");
       }
       if (!blob.empty()) std::memcpy(data.data(), blob.data(), blob.size());
+      // register_segment shadowed the pre-restore bytes; a rank whose every
+      // op is replay-skipped must still finalize with the restored state.
+      sync_registry_shadow(data);
       restored_names_.insert(name);
     }
   }
@@ -208,6 +209,12 @@ void Api::once(const std::function<void()>& fn, simnet::SimTime cost) {
   fn();
   if (cost > 0) rank_.advance_compute(cost);
   end_op();
+  if (engine_.config().protocol != Protocol::kNative) {
+    // A block may write any registered byte: refresh every shadow. The
+    // store's delivery lock excludes peers completing posted receives into
+    // registered buffers while the copy reads them.
+    rank_.store().with_delivery_lock([&] { ctx_.registry.sync_shadow(); });
+  }
 }
 
 bool Api::decide(const std::function<bool()>& fn) {
@@ -238,7 +245,10 @@ void Api::blocking_loop(common::FunctionRef<bool()> done,
     // A job configured to stop after its checkpoint must also unblock
     // ranks parked in waits whose peers have already stopped.
     maybe_stop_after_checkpoint();
-    if (rank_.runtime().stop_requested()) throw JobStopping{};
+    if (rank_.runtime().stop_requested()) {
+      rank_.cancel_all();
+      throw JobStopping{};
+    }
     if (rank_.runtime().aborted()) {
       throw RuntimeFault("peer rank failed during blocking wait");
     }
@@ -316,6 +326,7 @@ umpi::Status Api::recv(VComm comm, std::span<std::byte> data, int src, int tag) 
   rank_.clock().advance(rank_.runtime().cost().recv_overhead());
   if (result.truncated) throw UsageError("recv buffer too small (truncation)");
   end_op();
+  sync_registry_shadow(data);
   umpi::Status status;
   status.source = result.src;
   status.tag = result.tag;
@@ -410,9 +421,9 @@ bool Api::test(VReq& request) {
   const bool was_nbc = state.is_nbc;
   rank_.test(state.lower);
   if (was_nbc) charge_nbc_completion();  // completion-side interposition
+  sync_registry_shadow(state.output());
   vreqs_.erase(it);
   request = kNullReq;
-  sync_registry_shadow();  // completion may have filled receive buffers
   return true;
 }
 
@@ -433,10 +444,10 @@ void Api::wait(VReq& request) {
     const bool was_nbc = state.is_nbc;
     rank_.test(state.lower);
     if (was_nbc) charge_nbc_completion();
+    sync_registry_shadow(state.output());
   }
   vreqs_.erase(it);
   request = kNullReq;
-  sync_registry_shadow();  // completion may have filled receive buffers
 }
 
 void Api::waitall(std::span<VReq> requests) {
@@ -491,6 +502,7 @@ bool Api::testany(std::span<VReq> requests, int* index) {
 // ---- blocking collectives ---------------------------------------------------------------
 
 void Api::run_blocking_collective(const umpi::CommPtr& comm,
+                                  std::span<const std::byte> output,
                                   const std::function<void()>& execute) {
   ++collective_calls_;
   maybe_trigger_checkpoint();
@@ -498,20 +510,21 @@ void Api::run_blocking_collective(const umpi::CommPtr& comm,
   mgr_.pre_collective(comm);
   execute();
   end_op();
+  sync_registry_shadow(output);
   mgr_.post_collective(comm);
 }
 
 void Api::barrier(VComm comm) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.barrier(c); });
+  run_blocking_collective(c, {}, [&] { rank_.barrier(c); });
 }
 
 void Api::bcast(VComm comm, std::span<std::byte> data, umpi::Datatype dt,
                 int root) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.bcast(c, data, root, dt); });
+  run_blocking_collective(c, data, [&] { rank_.bcast(c, data, root, dt); });
 }
 
 void Api::reduce(VComm comm, std::span<const std::byte> send,
@@ -519,7 +532,7 @@ void Api::reduce(VComm comm, std::span<const std::byte> send,
                  int root) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.reduce(c, send, recv, dt, op, root); });
+  run_blocking_collective(c, recv, [&] { rank_.reduce(c, send, recv, dt, op, root); });
 }
 
 void Api::allreduce(VComm comm, std::span<const std::byte> send,
@@ -527,42 +540,42 @@ void Api::allreduce(VComm comm, std::span<const std::byte> send,
                     umpi::ReduceOp op) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.allreduce(c, send, recv, dt, op); });
+  run_blocking_collective(c, recv, [&] { rank_.allreduce(c, send, recv, dt, op); });
 }
 
 void Api::gather(VComm comm, std::span<const std::byte> send,
                  std::span<std::byte> recv, umpi::Datatype dt, int root) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.gather(c, send, recv, root, dt); });
+  run_blocking_collective(c, recv, [&] { rank_.gather(c, send, recv, root, dt); });
 }
 
 void Api::allgather(VComm comm, std::span<const std::byte> send,
                     std::span<std::byte> recv, umpi::Datatype dt) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.allgather(c, send, recv, dt); });
+  run_blocking_collective(c, recv, [&] { rank_.allgather(c, send, recv, dt); });
 }
 
 void Api::scatter(VComm comm, std::span<const std::byte> send,
                   std::span<std::byte> recv, umpi::Datatype dt, int root) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.scatter(c, send, recv, root, dt); });
+  run_blocking_collective(c, recv, [&] { rank_.scatter(c, send, recv, root, dt); });
 }
 
 void Api::alltoall(VComm comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, umpi::Datatype dt) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.alltoall(c, send, recv, dt); });
+  run_blocking_collective(c, recv, [&] { rank_.alltoall(c, send, recv, dt); });
 }
 
 void Api::scan(VComm comm, std::span<const std::byte> send,
                std::span<std::byte> recv, umpi::Datatype dt, umpi::ReduceOp op) {
   if (begin_op()) return;
   const auto& c = resolve(comm);
-  run_blocking_collective(c, [&] { rank_.scan(c, send, recv, dt, op); });
+  run_blocking_collective(c, recv, [&] { rank_.scan(c, send, recv, dt, op); });
 }
 
 void Api::reduce_scatter(VComm comm, std::span<const std::byte> send,
@@ -571,7 +584,7 @@ void Api::reduce_scatter(VComm comm, std::span<const std::byte> send,
   if (begin_op()) return;
   const auto& c = resolve(comm);
   run_blocking_collective(
-      c, [&] { rank_.reduce_scatter_block(c, send, recv, dt, op); });
+      c, recv, [&] { rank_.reduce_scatter_block(c, send, recv, dt, op); });
 }
 
 namespace {
@@ -604,7 +617,7 @@ void Api::gatherv(VComm comm, std::span<const std::byte> send,
   const auto displs = at_root ? to_bytes(recv_displs, dt)
                               : std::vector<std::size_t>{};
   run_blocking_collective(
-      c, [&] { rank_.gatherv(c, send, recv, counts, displs, root); });
+      c, recv, [&] { rank_.gatherv(c, send, recv, counts, displs, root); });
 }
 
 void Api::allgatherv(VComm comm, std::span<const std::byte> send,
@@ -615,7 +628,7 @@ void Api::allgatherv(VComm comm, std::span<const std::byte> send,
   const auto counts = to_bytes(recv_counts, dt);
   const auto displs = to_bytes(recv_displs, dt);
   run_blocking_collective(
-      c, [&] { rank_.allgatherv(c, send, recv, counts, displs); });
+      c, recv, [&] { rank_.allgatherv(c, send, recv, counts, displs); });
 }
 
 void Api::alltoallv(VComm comm, std::span<const std::byte> send,
@@ -629,14 +642,15 @@ void Api::alltoallv(VComm comm, std::span<const std::byte> send,
   const auto sdispls = to_bytes(send_displs, dt);
   const auto rcounts = to_bytes(recv_counts, dt);
   const auto rdispls = to_bytes(recv_displs, dt);
-  run_blocking_collective(c, [&] {
+  run_blocking_collective(c, recv, [&] {
     rank_.alltoallv(c, send, scounts, sdispls, recv, rcounts, rdispls);
   });
 }
 
 // ---- non-blocking collectives --------------------------------------------------------------
 
-VReq Api::start_nbc(VComm comm, const std::function<umpi::Request()>& initiate) {
+VReq Api::start_nbc(VComm comm, std::span<std::byte> output,
+                    const std::function<umpi::Request()>& initiate) {
   if (begin_op()) {
     // All non-blocking collectives complete before an image is written
     // (§4.3.2), so a replayed initiation is always already complete.
@@ -655,18 +669,20 @@ VReq Api::start_nbc(VComm comm, const std::function<umpi::Request()>& initiate) 
   state.lower = initiate();
   state.is_nbc = true;
   state.vcomm = comm.id;
+  state.buffer = output.data();
+  state.length = output.size();
   mgr_.register_nbc(state.lower);
   end_op();
   return bind_req(state);
 }
 
 VReq Api::ibarrier(VComm comm) {
-  return start_nbc(comm, [&] { return rank_.ibarrier(resolve(comm)); });
+  return start_nbc(comm, {}, [&] { return rank_.ibarrier(resolve(comm)); });
 }
 
 VReq Api::ibcast(VComm comm, std::span<std::byte> data, umpi::Datatype dt,
                  int root) {
-  return start_nbc(comm,
+  return start_nbc(comm, data,
                    [&] { return rank_.ibcast(resolve(comm), data, root, dt); });
 }
 
@@ -674,44 +690,44 @@ VReq Api::ireduce(VComm comm, std::span<const std::byte> send,
                   std::span<std::byte> recv, umpi::Datatype dt, umpi::ReduceOp op,
                   int root) {
   return start_nbc(
-      comm, [&] { return rank_.ireduce(resolve(comm), send, recv, dt, op, root); });
+      comm, recv, [&] { return rank_.ireduce(resolve(comm), send, recv, dt, op, root); });
 }
 
 VReq Api::igather(VComm comm, std::span<const std::byte> send,
                   std::span<std::byte> recv, umpi::Datatype dt, int root) {
   return start_nbc(
-      comm, [&] { return rank_.igather(resolve(comm), send, recv, root, dt); });
+      comm, recv, [&] { return rank_.igather(resolve(comm), send, recv, root, dt); });
 }
 
 VReq Api::iscatter(VComm comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, umpi::Datatype dt, int root) {
   return start_nbc(
-      comm, [&] { return rank_.iscatter(resolve(comm), send, recv, root, dt); });
+      comm, recv, [&] { return rank_.iscatter(resolve(comm), send, recv, root, dt); });
 }
 
 VReq Api::iscan(VComm comm, std::span<const std::byte> send,
                 std::span<std::byte> recv, umpi::Datatype dt, umpi::ReduceOp op) {
   return start_nbc(
-      comm, [&] { return rank_.iscan(resolve(comm), send, recv, dt, op); });
+      comm, recv, [&] { return rank_.iscan(resolve(comm), send, recv, dt, op); });
 }
 
 VReq Api::iallreduce(VComm comm, std::span<const std::byte> send,
                      std::span<std::byte> recv, umpi::Datatype dt,
                      umpi::ReduceOp op) {
-  return start_nbc(comm,
+  return start_nbc(comm, recv,
                    [&] { return rank_.iallreduce(resolve(comm), send, recv, dt, op); });
 }
 
 VReq Api::iallgather(VComm comm, std::span<const std::byte> send,
                      std::span<std::byte> recv, umpi::Datatype dt) {
   return start_nbc(
-      comm, [&] { return rank_.iallgather(resolve(comm), send, recv, dt); });
+      comm, recv, [&] { return rank_.iallgather(resolve(comm), send, recv, dt); });
 }
 
 VReq Api::ialltoall(VComm comm, std::span<const std::byte> send,
                     std::span<std::byte> recv, umpi::Datatype dt) {
   return start_nbc(
-      comm, [&] { return rank_.ialltoall(resolve(comm), send, recv, dt); });
+      comm, recv, [&] { return rank_.ialltoall(resolve(comm), send, recv, dt); });
 }
 
 // ---- communicator management ------------------------------------------------------------------
@@ -780,15 +796,9 @@ void Api::finalize(bool stopped_early) {
   // dead frame. Freeze the registry so a late checkpoint captures the
   // exit-state shadow instead of freed memory.
   ctx_.registry.detach();
-  if (stopped_early) {
-    // The job is ending mid-application (chained-allocation stop): posted
-    // receives reference application stack buffers that are about to go
-    // out of scope, and no peer will complete them — withdraw them.
-    for (auto& [id, state] : vreqs_) {
-      if (!state.complete) rank_.cancel(state.lower);
-    }
-    vreqs_.clear();
-  }
+  // A job ending mid-application (chained-allocation stop) cancelled its
+  // lower-half requests before the stop unwound the app frame.
+  if (stopped_early) vreqs_.clear();
   mgr_.at_finalize();
 }
 

@@ -359,14 +359,21 @@ class Api {
     std::uint64_t vcomm = 0;
     int src = 0;
     int tag = 0;
+    /// What completion writes: an irecv's buffer, an NBC's output span
+    /// (empty for sends and ibarrier).
     std::byte* buffer = nullptr;
     std::size_t length = 0;
+
+    [[nodiscard]] std::span<const std::byte> output() const noexcept {
+      return {buffer, length};
+    }
   };
 
   // Wrapper skeleton helpers.
   bool begin_op();      // returns true when this op must be skipped (replay)
   void end_op();        // op effects are now in registered state
-  void sync_registry_shadow();
+  /// Refresh the registry shadow of the registered bytes in `written`.
+  void sync_registry_shadow(std::span<const std::byte> written);
   void charge_collective_wrapper();
   void charge_nbc_initiation();
   void charge_nbc_completion();
@@ -392,9 +399,13 @@ class Api {
   /// Resolve a comm-relative source rank to a world rank for blocking_loop
   /// (kBlockedUnknown for MPI_ANY_SOURCE).
   [[nodiscard]] int blocked_src_of(const umpi::CommPtr& comm, int src) const;
+  /// `output`: the span the collective writes (its shadow is refreshed).
   void run_blocking_collective(const umpi::CommPtr& comm,
+                               std::span<const std::byte> output,
                                const std::function<void()>& execute);
-  VReq start_nbc(VComm comm, const std::function<umpi::Request()>& initiate);
+  /// `output`: the span the NBC writes, refreshed when Wait/Test completes it.
+  VReq start_nbc(VComm comm, std::span<std::byte> output,
+                 const std::function<umpi::Request()>& initiate);
 
   void restore_from_image();
   void flush_pending_unexpected();

@@ -60,7 +60,12 @@ LifecycleReport Lifecycle::run(const WrappedApp& app) {
     if (segment > 0) report.restored_generations.push_back(r.restored_generation);
     if (config_.on_segment) config_.on_segment(engine, r, segment);
 
-    if (!r.stopped_after_checkpoint) {
+    // A checkpoint that completes only after every rank has returned from
+    // the app (requested during a collective-free tail: CC parks only at
+    // collective entries, blocked waits and finalize) leaves no wrapper
+    // call to stop at. The machine still failed: the segment counts as
+    // crashed, and the restart replays it to the end from that image.
+    if (!r.stopped_after_checkpoint && r.checkpoints == 0) {
       report.completed = true;
       break;
     }

@@ -9,7 +9,8 @@
 // exactly the paper's chained-resource-allocation workflow, generalized
 // from one hop to arbitrarily many. Each segment is a fresh Engine (a fresh
 // lower half); the crash is simulated by stopping the job right after its
-// first completed checkpoint. The configured FailureSchedule spans the
+// first completed checkpoint (a segment whose checkpoint completed only
+// after every rank returned still counts as crashed). The configured FailureSchedule spans the
 // whole lifecycle: collective-count and fixed-time triggers are consumed in
 // order across segments, and the Poisson arrival stream continues where the
 // previous segment's draws left off, so a single seed reproduces the entire

@@ -55,7 +55,8 @@ struct Comm {
   /// World rank of communicator rank `r`.
   [[nodiscard]] int world_of(int r) const { return group.world_rank(r); }
 
-  /// Order-independent identity of the member set (basis of the ggid).
+  /// Order-independent identity of the member set (basis of the ggid);
+  /// cached in the group's shared table, so O(1).
   [[nodiscard]] std::uint64_t member_set_hash() const noexcept {
     return group.member_set_hash();
   }

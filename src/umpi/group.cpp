@@ -22,23 +22,41 @@ bool is_iota(const std::vector<int>& members) {
   return true;
 }
 
+/// Member-set hash of the empty group; the seed of every chain.
+constexpr std::uint64_t kEmptySetHash = 0x9e3779b97f4a7c15ULL;
+
+/// Chain-hash an ascending member list: order-independence comes from the
+/// sort, and the chained mix64 keeps distinct sets from colliding the way a
+/// plain XOR or sum of per-rank hashes can.
+std::uint64_t sorted_chain_hash(const std::vector<int>& sorted) {
+  std::uint64_t h = kEmptySetHash;
+  for (int w : sorted) h = hash_combine(h, static_cast<std::uint64_t>(w) + 1);
+  return h;
+}
+
 }  // namespace
 
 Group::Group(std::vector<int> members) {
-  std::unordered_set<int> seen;
-  for (int w : members) {
-    MANATEE_REQUIRE(w >= 0, "group member world ranks must be non-negative");
-    MANATEE_REQUIRE(seen.insert(w).second, "group members must be unique");
-  }
+  // Validate on a sorted copy: duplicates become neighbours, the minimum
+  // comes first, and the same copy yields the member-set hash.
+  auto sorted = members;
+  std::sort(sorted.begin(), sorted.end());
+  MANATEE_REQUIRE(sorted.empty() || sorted.front() >= 0,
+                  "group member world ranks must be non-negative");
+  MANATEE_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+                  "group members must be unique");
   iota_ = is_iota(members);
   if (!members.empty()) {
-    members_ = std::make_shared<const std::vector<int>>(std::move(members));
+    table_ = std::make_shared<const Table>(
+        Table{std::move(members), sorted_chain_hash(sorted)});
   }
 }
 
 Group::Group(Checked, std::vector<int> members, bool iota) : iota_(iota) {
   if (!members.empty()) {
-    members_ = std::make_shared<const std::vector<int>>(std::move(members));
+    // Checked groups are iota (the world group): already sorted.
+    const std::uint64_t hash = sorted_chain_hash(members);
+    table_ = std::make_shared<const Table>(Table{std::move(members), hash});
   }
 }
 
@@ -49,17 +67,17 @@ Group Group::world(int world_size) {
 }
 
 const std::vector<int>& Group::members() const noexcept {
-  return members_ == nullptr ? empty_members() : *members_;
+  return table_ == nullptr ? empty_members() : table_->members;
 }
 
 int Group::world_rank(int r) const {
   MANATEE_REQUIRE(r >= 0 && r < size(), "group rank out of range");
-  return (*members_)[static_cast<std::size_t>(r)];
+  return table_->members[static_cast<std::size_t>(r)];
 }
 
 int Group::rank_of_world(int w) const noexcept {
   if (iota_) return w >= 0 && w < size() ? w : -1;
-  const std::vector<int>& m = *members_;
+  const std::vector<int>& m = table_->members;
   for (std::size_t i = 0; i < m.size(); ++i) {
     if (m[i] == w) return static_cast<int>(i);
   }
@@ -121,7 +139,7 @@ Group Group::set_difference(const Group& other) const {
 }
 
 CompareResult Group::compare(const Group& other) const {
-  if (members_ == other.members_ || members() == other.members()) {
+  if (table_ == other.table_ || members() == other.members()) {
     return CompareResult::kIdent;
   }
   if (size() != other.size()) return CompareResult::kUnequal;
@@ -133,23 +151,7 @@ CompareResult Group::compare(const Group& other) const {
 }
 
 std::uint64_t Group::member_set_hash() const noexcept {
-  // Sort, then chain-hash: order-independence comes from the sort, and the
-  // chained mix64 keeps distinct sets from colliding the way a plain XOR or
-  // sum of per-rank hashes can. Iota groups are already sorted — hashing the
-  // shared table in place keeps the world-group ggid O(p) with no copy.
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  if (iota_) {
-    for (int w : members()) {
-      h = hash_combine(h, static_cast<std::uint64_t>(w) + 1);
-    }
-    return h;
-  }
-  auto sorted = members();
-  std::sort(sorted.begin(), sorted.end());
-  for (int w : sorted) {
-    h = hash_combine(h, static_cast<std::uint64_t>(w) + 1);
-  }
-  return h;
+  return table_ == nullptr ? kEmptySetHash : table_->hash;
 }
 
 }  // namespace manatee::umpi

@@ -15,7 +15,10 @@
 //
 // member_set_hash() is the order-independent identity used by the paper's
 // global group id (ggid, §4.1): two groups that are MPI_SIMILAR — same
-// member set, any order — hash identically.
+// member set, any order — hash identically. It is computed once, when the
+// group is built (which already walks every member to validate it), and
+// stored beside the member table in the shared block: the CC wrapper reads
+// it on every collective in O(1), and a Group copy stays one handle.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +41,7 @@ class Group {
   static Group world(int world_size);
 
   [[nodiscard]] int size() const noexcept {
-    return members_ == nullptr ? 0 : static_cast<int>(members_->size());
+    return table_ == nullptr ? 0 : static_cast<int>(table_->members.size());
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
@@ -62,7 +65,8 @@ class Group {
   /// handle keeps the table address from being reused).
   [[nodiscard]] std::shared_ptr<const std::vector<int>> members_handle()
       const noexcept {
-    return members_;
+    if (table_ == nullptr) return nullptr;
+    return {table_, &table_->members};
   }
 
   /// Translate ranks in this group to ranks in `other`
@@ -80,21 +84,28 @@ class Group {
   [[nodiscard]] CompareResult compare(const Group& other) const;
 
   /// Order-independent 64-bit hash of the member set; the basis of the
-  /// paper's ggid. MPI_SIMILAR groups collide by construction.
+  /// paper's ggid. MPI_SIMILAR groups collide by construction. O(1): cached
+  /// at construction.
   [[nodiscard]] std::uint64_t member_set_hash() const noexcept;
 
   friend bool operator==(const Group& a, const Group& b) {
-    if (a.members_ == b.members_) return true;  // shared table or both empty
+    if (a.table_ == b.table_) return true;  // shared table or both empty
     return a.members() == b.members();
   }
 
  private:
+  /// The shared, immutable block: the member list and its member-set hash.
+  struct Table {
+    std::vector<int> members;
+    std::uint64_t hash = 0;
+  };
+
   struct Checked {};  // tag: members already validated by the caller
   Group(Checked, std::vector<int> members, bool iota);
 
   /// Shared, immutable member table (null = the empty group). Copying a
   /// Group copies the handle, not the table.
-  std::shared_ptr<const std::vector<int>> members_;
+  std::shared_ptr<const Table> table_;
   bool iota_ = true;  ///< members[i] == i for all i (empty: trivially true)
 };
 

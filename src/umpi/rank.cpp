@@ -225,7 +225,10 @@ bool Rank::wait_interrupted() const noexcept {
 }
 
 void Rank::throw_wait_interrupt() {
-  if (runtime_.stop_requested()) throw JobStopping{};
+  if (runtime_.stop_requested()) {
+    cancel_all();
+    throw JobStopping{};
+  }
   throw RuntimeFault("peer rank failed; aborting wait on rank " +
                      std::to_string(world_rank_));
 }
@@ -239,17 +242,14 @@ bool Rank::is_active(const Request& request) const {
   return !request.is_null() && requests_.contains(request.id);
 }
 
-void Rank::cancel(Request& request) {
-  if (request.is_null()) return;
-  RequestState* state = find(request);
-  if (state != nullptr) {
-    if (state->kind == RequestState::Kind::kRecv && !state->recv->is_done()) {
-      store().cancel_recv(state->recv.get());
+void Rank::cancel_all() {
+  for (auto& [id, state] : requests_) {
+    if (state.kind == RequestState::Kind::kRecv && !state.recv->is_done()) {
+      store().cancel_recv(state.recv.get());
     }
-    if (state->kind == RequestState::Kind::kNbc) --nbc_requests_;
-    requests_.erase(request.id);
   }
-  request = kNullRequest;
+  requests_.clear();  // NBC slots withdraw their own posted receives
+  nbc_requests_ = 0;
 }
 
 bool Rank::request_done(const Request& request) {
@@ -393,7 +393,10 @@ void Rank::drive(common::FunctionRef<bool()> done) {
     const auto token = store().token();
     progress_outstanding();
     if (done()) return;
-    if (runtime_.stop_requested()) throw JobStopping{};
+    if (runtime_.stop_requested()) {
+      cancel_all();
+      throw JobStopping{};
+    }
     if (runtime_.aborted()) {
       throw RuntimeFault("peer rank failed; aborting wait on rank " +
                          std::to_string(world_rank_));

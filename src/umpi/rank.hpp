@@ -109,10 +109,13 @@ class Rank {
   /// requests stay live for the application to consume later.
   void merge_request_completion(const Request& request);
 
-  /// Abandon a request without completing it (MPI_Cancel-like): posted
-  /// receives are withdrawn so late deliveries cannot write into buffers
-  /// that are about to go out of scope (job-stop teardown path).
-  void cancel(Request& request);
+  /// The job is stopping mid-application: abandon every outstanding
+  /// request, withdrawing posted receives (user irecvs and NBC slots) while
+  /// the application buffers they write into are still alive. Every site
+  /// that throws a stop out of the app calls this first — the exception
+  /// unwinds the frame that owns those buffers, and a late delivery must
+  /// not write into freed memory.
+  void cancel_all();
 
   // --- blocking collectives -------------------------------------------------
   // The byte-moving collectives take a trailing element datatype (defaulted

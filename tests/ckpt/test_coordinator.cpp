@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "simnet/fabric.hpp"
+
 namespace manatee::ckpt {
 namespace {
 
@@ -151,6 +155,42 @@ TEST(Coordinator, TpcExecutingRankIsUnparked) {
 TEST(Coordinator, DoneRanksTracked) {
   Coordinator c(2, nullptr);
   EXPECT_FALSE(c.all_done());
+  c.report_done(0);
+  EXPECT_FALSE(c.all_done());
+  c.report_done(1);
+  EXPECT_TRUE(c.all_done());
+}
+
+TEST(Coordinator, ReportDoneWakesEveryStoreOnceOnTheLastFinisher) {
+  // Ranks parked in at_finalize wait for all-done: the first N-1 finishers
+  // must not wake N stores each, and a repeated report counts once.
+  constexpr int kWorld = 4;
+  simnet::Fabric fabric(simnet::Topology(kWorld, 2), simnet::CostModel());
+  Coordinator c(kWorld, &fabric);
+  const auto generations = [&] {
+    std::vector<std::uint64_t> out;
+    for (int r = 0; r < kWorld; ++r) out.push_back(fabric.store(r).token().generation);
+    return out;
+  };
+  const auto before = generations();
+  for (int r = 0; r < kWorld - 1; ++r) c.report_done(r);
+  c.report_done(0);
+  EXPECT_FALSE(c.all_done());
+  EXPECT_EQ(generations(), before);
+
+  c.report_done(kWorld - 1);
+  EXPECT_TRUE(c.all_done());
+  const auto after = generations();
+  for (int r = 0; r < kWorld; ++r) EXPECT_GT(after[r], before[r]) << "rank " << r;
+
+  c.report_done(kWorld - 1);
+  EXPECT_EQ(generations(), after);
+}
+
+TEST(Coordinator, DoneSurvivesCheckpointCycles) {
+  Coordinator c(2, nullptr);
+  c.report_done(0);
+  c.request_checkpoint();
   c.report_done(0);
   EXPECT_FALSE(c.all_done());
   c.report_done(1);

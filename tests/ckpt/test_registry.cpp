@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -119,6 +121,74 @@ TEST(Registry, ResolveOutOfBoundsThrows) {
   std::vector<int> a{1};
   reg.register_segment("x", std::as_writable_bytes(std::span(a)));
   EXPECT_THROW(reg.resolve(SegmentRef{"x", 2, 8}), UsageError);
+}
+
+// ---- write-targeted shadow refresh ------------------------------------------------
+
+std::vector<std::byte> bytes_of(std::initializer_list<int> values) {
+  std::vector<std::byte> out;
+  for (int v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+/// Two segments over one contiguous buffer: "a" = buf[0, 4), "b" = buf[4, 8).
+struct TwoSegments {
+  std::vector<std::byte> buf = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
+  Registry reg;
+  TwoSegments() {
+    reg.register_segment("a", std::span(buf).first(4));
+    reg.register_segment("b", std::span(buf).subspan(4));
+    for (auto& b : buf) b = static_cast<std::byte>(static_cast<int>(b) + 10);
+  }
+  /// The shadows, as a late checkpoint after detach() reads them.
+  std::map<std::string, std::vector<std::byte>> shadows() {
+    reg.detach();
+    return reg.capture();
+  }
+};
+
+TEST(Registry, SyncShadowRangeInsideSegment) {
+  TwoSegments t;
+  t.reg.sync_shadow(t.buf.data() + 1, 2);
+  const auto shadow = t.shadows();
+  EXPECT_EQ(shadow.at("a"), bytes_of({1, 12, 13, 4}));
+  EXPECT_EQ(shadow.at("b"), bytes_of({5, 6, 7, 8}));
+}
+
+TEST(Registry, SyncShadowRangeCrossingTwoSegments) {
+  TwoSegments t;
+  t.reg.sync_shadow(t.buf.data() + 2, 4);
+  const auto shadow = t.shadows();
+  EXPECT_EQ(shadow.at("a"), bytes_of({1, 2, 13, 14}));
+  EXPECT_EQ(shadow.at("b"), bytes_of({15, 16, 7, 8}));
+}
+
+TEST(Registry, SyncShadowUnregisteredRangeIsNoOp) {
+  TwoSegments t;
+  std::vector<std::byte> elsewhere(8);
+  t.reg.sync_shadow(elsewhere.data(), elsewhere.size());
+  t.reg.sync_shadow(t.buf.data(), 0);
+  const auto shadow = t.shadows();
+  EXPECT_EQ(shadow.at("a"), bytes_of({1, 2, 3, 4}));
+  EXPECT_EQ(shadow.at("b"), bytes_of({5, 6, 7, 8}));
+}
+
+TEST(Registry, SyncShadowAfterDetachIsNoOp) {
+  TwoSegments t;
+  t.reg.detach();
+  t.reg.sync_shadow(t.buf.data(), t.buf.size());
+  t.reg.sync_shadow();
+  const auto shadow = t.reg.capture();
+  EXPECT_EQ(shadow.at("a"), bytes_of({1, 2, 3, 4}));
+  EXPECT_EQ(shadow.at("b"), bytes_of({5, 6, 7, 8}));
+}
+
+TEST(Registry, SyncShadowFullRefreshesEverySegment) {
+  TwoSegments t;
+  t.reg.sync_shadow();
+  const auto shadow = t.shadows();
+  EXPECT_EQ(shadow.at("a"), bytes_of({11, 12, 13, 14}));
+  EXPECT_EQ(shadow.at("b"), bytes_of({15, 16, 17, 18}));
 }
 
 }  // namespace

@@ -387,6 +387,68 @@ TEST(RestartEdges, RetentionProtectsTheNewestValidGeneration) {
   EXPECT_EQ(report.restored_generation, 1u);
 }
 
+TEST(RestartEdges, RestoredSegmentShadowHoldsTheRestoredBytes) {
+  // Rank 0 sets v in a once block, joins a split, and returns. After the
+  // first crash it replays with every op skipped, so no op refreshes its
+  // shadow: the second checkpoint (taken while it sits in finalize) must
+  // still capture the restored v, not the bytes it registered before the
+  // restore copy.
+  harness::Scenario scenario;
+  scenario.tag = "edge_restored_shadow";
+  scenario.world = 3;
+  scenario.failures.trigger_rank = 1;
+  scenario.failures.at_times = {5'000'000, 12'000'000};
+  scenario.custom_app = [](Api& api) -> std::uint64_t {
+    double v = 0, s = 0;
+    api.register_value("v", v);
+    api.register_value("s", s);
+    if (api.rank() == 0) api.once([&] { v = 42; });
+    const VComm workers =
+        api.comm_split(kWorldComm, api.rank() == 0 ? -1 : 1, api.rank());
+    if (api.rank() == 0) return std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 20; ++i) {
+      api.compute(1'000'000);
+      api.allreduce(workers, std::as_bytes(std::span(&v, 1)),
+                    std::as_writable_bytes(std::span(&s, 1)),
+                    umpi::Datatype::kDouble, umpi::ReduceOp::kSum);
+      api.once([&] { v = s / 2 + 1; });
+    }
+    return std::bit_cast<std::uint64_t>(v) ^ std::bit_cast<std::uint64_t>(s);
+  };
+  const auto out = harness::expect_scenario_roundtrip(scenario);
+  EXPECT_EQ(out.lifecycle.crashes, 2u);
+  EXPECT_EQ(out.chained[0], std::bit_cast<std::uint64_t>(42.0))
+      << "rank 0 lost its restored state across the second checkpoint";
+}
+
+TEST(RestartEdges, CheckpointCompletingAfterTheAppReturnedStillCrashes) {
+  // The request lands in rank 1's collective-free tail. CC parks only at
+  // collective entries, blocked waits and finalize, so the cycle completes
+  // after every rank has returned and no wrapper call is left to stop at.
+  // The machine still failed: the lifecycle must restart from that image.
+  harness::Scenario scenario;
+  scenario.tag = "edge_tail_checkpoint";
+  scenario.world = 2;
+  scenario.failures.trigger_rank = 1;
+  scenario.failures.at_times = {5'000'000};
+  scenario.custom_app = [](Api& api) -> std::uint64_t {
+    std::uint64_t steps = 0;
+    api.register_value("steps", steps);
+    if (api.rank() == 1) {
+      for (int i = 0; i < 20; ++i) {
+        api.compute(1'000'000);
+        api.once([&] { steps = steps * 31 + 7; });
+      }
+    }
+    return steps;
+  };
+  const auto out = harness::expect_scenario_roundtrip(scenario);
+  EXPECT_EQ(out.lifecycle.checkpoints, 1u);
+  EXPECT_EQ(out.lifecycle.crashes, 1u)
+      << "a completed checkpoint ended the lifecycle without a crash";
+  EXPECT_EQ(out.lifecycle.restored_generations, (std::vector<std::uint64_t>{1}));
+}
+
 TEST(RestartEdges, ForeignDirectoryNamesIgnoredByGenerationScan) {
   // Overflowing or non-numeric gen_* names are foreign files, not
   // generations — the scan must skip them instead of throwing.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace manatee::umpi {
 namespace {
@@ -96,6 +100,35 @@ TEST(Group, MemberSetHashManyGroupsNoCollision) {
   }
   std::sort(hashes.begin(), hashes.end());
   EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+}
+
+TEST(Group, MemberSetHashIsTheSortedChainHash) {
+  // The cached hash is exactly the chain hash of the sorted member list, so
+  // ggids match what every earlier build computed per call.
+  const auto chain = [](std::vector<int> members) {
+    std::sort(members.begin(), members.end());
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (int w : members) h = hash_combine(h, static_cast<std::uint64_t>(w) + 1);
+    return h;
+  };
+  EXPECT_EQ(Group({5, 1, 9, 3}).member_set_hash(), chain({5, 1, 9, 3}));
+  std::vector<int> iota(64);
+  std::iota(iota.begin(), iota.end(), 0);
+  EXPECT_EQ(Group::world(64).member_set_hash(), chain(iota));
+  EXPECT_EQ(Group(iota).member_set_hash(), chain(iota));
+  EXPECT_EQ(Group().member_set_hash(), chain({}));
+}
+
+TEST(Group, MemberSetHashSurvivesPermutationAndCopy) {
+  const Group g({4, 8, 15, 16, 23, 42});
+  const Group similar({42, 23, 16, 15, 8, 4});
+  ASSERT_EQ(g.compare(similar), CompareResult::kSimilar);
+  EXPECT_EQ(g.member_set_hash(), similar.member_set_hash());
+  const Group copy = g;
+  EXPECT_EQ(copy.member_set_hash(), g.member_set_hash());
+  EXPECT_EQ(copy.members_handle(), g.members_handle());  // one shared table
+  const Group sub = similar.incl(std::vector<int>{5, 0});  // {4, 42}
+  EXPECT_EQ(sub.member_set_hash(), Group({42, 4}).member_set_hash());
 }
 
 TEST(Group, EmptyGroup) {
