@@ -58,14 +58,14 @@ inline int ranks_per_node(const Options& opts, int fallback = 16) {
   return static_cast<int>(opts.get_int("ranks-per-node", fallback));
 }
 
-/// Apply --sched=threads|fibers|events and --sched-workers=N to an engine
-/// config (every bench accepts them; MANATEE_SCHED keeps working as the
-/// default). Unknown backend names throw UsageError (via parse_backend)
-/// rather than silently falling back to threads.
+/// Apply --sched=threads|events and --sched-workers=N to an engine config
+/// (every bench accepts them; MANATEE_SCHED keeps working as the default,
+/// events when unset). Unknown backend names throw UsageError (via
+/// parse_backend) rather than silently falling back to the default.
 inline void apply_sched_options(const Options& opts, EngineConfig& config) {
   if (opts.has("sched")) {
     config.runtime.sched.backend =
-        sched::parse_backend(opts.get("sched", "threads"));
+        sched::parse_backend(opts.get("sched", "events"));
   }
   if (opts.has("sched-workers")) {
     config.runtime.sched.workers =

@@ -1,23 +1,21 @@
 // bench_world_scaling — the scheduler-backend headline chart: wall time and
-// peak memory per rank as the simulated world grows, threads vs fibers vs
-// the event-driven backend.
+// peak memory per rank as the simulated world grows, threads vs the
+// event-driven fiber backend.
 //
 // One OS thread per rank stops scaling long before the paper's world sizes
 // fit on a developer box: thousands of threads mean thousands of kernel
 // stacks, futex round trips on every message, and scheduler thrash. The
-// fiber backend multiplexes the same ranks onto a worker pool sized to the
-// hardware, so 4096-rank figure runs become routine. The events backend
-// goes further: a rank parked in a collective costs O(bytes of wait
-// record) rather than a committed fiber stack, so 32768- and 65536-rank
-// worlds (events-only cells under --full) fit a 1-CPU box.
+// events backend multiplexes the same ranks as fibers onto a worker pool
+// sized to the hardware, and a rank parked in a collective costs
+// O(bytes of its live frame) rather than a committed stack, so 16384- to
+// 65536-rank worlds (events-only cells under --full) fit a 1-CPU box.
 //
 // Each (ranks, backend) cell runs in a freshly exec'd child process
 // (`--single`), so VmHWM from /proc/self/status is that configuration's own
 // peak RSS — no contamination from earlier cells. The parent aggregates the
-// table, writes --json, and gates --check: fibers must beat threads on wall
-// time at >= 256 ranks, events must beat fibers on wall time at >= 4096 and
-// on peak RSS at >= 16384, and the 65536-rank events cell must finish in
-// under 10 s wall within 4 GB peak RSS.
+// table, writes --json, and gates --check: events must beat threads on wall
+// time at >= 256 ranks, and the 65536-rank events cell must finish in under
+// 10 s wall within 4 GB peak RSS.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -62,9 +60,9 @@ void run_single(int ranks, sched::Backend backend) {
   simnet::MessageStore::set_wait_timeout_ms(600'000);
   // The iteration count scales down with the world so each cell measures a
   // comparable message volume AND keeps the backends' fixed setup costs in
-  // frame: at 16k+ ranks the fibers backend pays one guarded mmap per rank
-  // up front while events carves ~64 stacks per slab — a real part of the
-  // per-rank cost the figure is about, not noise to amortize away.
+  // frame: threads pays one OS thread per rank up front while events
+  // carves 64 stacks per slab — a real part of the per-rank cost the
+  // figure is about, not noise to amortize away.
   const int iters = std::max(2, 8192 / ranks);
   EngineConfig config;
   config.runtime.world_size = ranks;
@@ -168,31 +166,31 @@ int run(int argc, char** argv) {
 
   if (opts.has("single")) {
     const int ranks = static_cast<int>(opts.get_int("ranks", 64));
-    run_single(ranks, sched::parse_backend(opts.get("sched", "threads")));
+    run_single(ranks, sched::parse_backend(opts.get("sched", "events")));
     return 0;
   }
 
   // Backends per world size: one OS thread per rank caps out around 4096
-  // on a developer box; committed fiber stacks cap out around 16384; only
-  // the stackless events backend runs the 32768/65536 headline cells.
+  // on a developer box; only the events backend runs the 16384..65536
+  // headline cells.
   std::vector<std::pair<int, std::vector<const char*>>> sweep{
-      {16, {"threads", "fibers", "events"}},
-      {64, {"threads", "fibers", "events"}},
-      {256, {"threads", "fibers", "events"}},
-      {1024, {"threads", "fibers", "events"}},
+      {16, {"threads", "events"}},
+      {64, {"threads", "events"}},
+      {256, {"threads", "events"}},
+      {1024, {"threads", "events"}},
   };
   if (opts.get_bool("full")) {
-    sweep.push_back({4096, {"threads", "fibers", "events"}});
-    sweep.push_back({16384, {"fibers", "events"}});
+    sweep.push_back({4096, {"threads", "events"}});
+    sweep.push_back({16384, {"events"}});
     sweep.push_back({32768, {"events"}});
     sweep.push_back({65536, {"events"}});
   }
   if (opts.has("ranks")) {
     sweep = {{static_cast<int>(opts.get_int("ranks", 64)),
-              {"threads", "fibers", "events"}}};
+              {"threads", "events"}}};
   }
 
-  print_header("World scaling: threads vs fibers vs events",
+  print_header("World scaling: threads vs events",
                "the scheduler headline chart (wall time + peak RSS per rank "
                "while the simulated world grows)");
 
@@ -220,21 +218,13 @@ int run(int argc, char** argv) {
   }
   for (const auto& [ranks, scheds] : sweep) {
     const Cell* t = find_cell(ranks, "threads");
-    const Cell* f = find_cell(ranks, "fibers");
     const Cell* e = find_cell(ranks, "events");
-    if (t != nullptr && f != nullptr) {
-      std::printf(
-          "  %d ranks: fibers %.2fx wall speedup, %.2fx less peak RSS vs "
-          "threads\n",
-          ranks, f->wall_secs > 0 ? t->wall_secs / f->wall_secs : 0.0,
-          f->hwm_kb > 0 ? static_cast<double>(t->hwm_kb) / f->hwm_kb : 0.0);
-    }
-    if (f != nullptr && e != nullptr) {
+    if (t != nullptr && e != nullptr) {
       std::printf(
           "  %d ranks: events %.2fx wall speedup, %.2fx less peak RSS vs "
-          "fibers\n",
-          ranks, e->wall_secs > 0 ? f->wall_secs / e->wall_secs : 0.0,
-          e->hwm_kb > 0 ? static_cast<double>(f->hwm_kb) / e->hwm_kb : 0.0);
+          "threads\n",
+          ranks, e->wall_secs > 0 ? t->wall_secs / e->wall_secs : 0.0,
+          e->hwm_kb > 0 ? static_cast<double>(t->hwm_kb) / e->hwm_kb : 0.0);
     }
   }
 
@@ -264,37 +254,18 @@ int run(int argc, char** argv) {
     // The regression gates, each the whole point of its subsystem (the
     // gated rows compare best-of-five interleaved repetitions, see
     // run_row, so load noise cannot easily flip them):
-    //   - fibers beat threads on wall time at >= 256 ranks,
-    //   - events beat fibers on wall time at >= 4096 ranks,
-    //   - events beat fibers on peak RSS at >= 16384 ranks,
+    //   - events beat threads on wall time at >= 256 ranks,
     //   - the 65536-rank events cell stays under 10 s wall and 4 GB RSS.
     bool ok = true;
     for (const auto& [ranks, scheds] : sweep) {
       const Cell* t = find_cell(ranks, "threads");
-      const Cell* f = find_cell(ranks, "fibers");
       const Cell* e = find_cell(ranks, "events");
-      if (ranks >= 256 && t != nullptr && f != nullptr &&
-          f->wall_secs >= t->wall_secs) {
+      if (ranks >= 256 && t != nullptr && e != nullptr &&
+          e->wall_secs >= t->wall_secs) {
         std::fprintf(stderr,
-                     "FAIL: fibers (%.3fs) not faster than threads (%.3fs) "
+                     "FAIL: events (%.3fs) not faster than threads (%.3fs) "
                      "at %d ranks\n",
-                     f->wall_secs, t->wall_secs, ranks);
-        ok = false;
-      }
-      if (ranks >= 4096 && f != nullptr && e != nullptr &&
-          e->wall_secs >= f->wall_secs) {
-        std::fprintf(stderr,
-                     "FAIL: events (%.3fs) not faster than fibers (%.3fs) "
-                     "at %d ranks\n",
-                     e->wall_secs, f->wall_secs, ranks);
-        ok = false;
-      }
-      if (ranks >= 16384 && f != nullptr && e != nullptr &&
-          e->hwm_kb >= f->hwm_kb) {
-        std::fprintf(stderr,
-                     "FAIL: events peak RSS (%" PRIu64
-                     " kB) not below fibers (%" PRIu64 " kB) at %d ranks\n",
-                     e->hwm_kb, f->hwm_kb, ranks);
+                     e->wall_secs, t->wall_secs, ranks);
         ok = false;
       }
       if (ranks == 65536 && e != nullptr) {
@@ -315,8 +286,7 @@ int run(int argc, char** argv) {
     }
     if (!ok) return 1;
     std::printf(
-        "\ncheck OK: fibers beat threads >= 256, events beat fibers on wall "
-        ">= 4096 and on RSS >= 16384%s\n",
+        "\ncheck OK: events beat threads on wall >= 256%s\n",
         find_cell(65536, "events") != nullptr
             ? ", 65536 ranks within 10 s / 4 GB"
             : "");

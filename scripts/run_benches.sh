@@ -3,12 +3,11 @@
 #
 # Builds the perf-relevant benchmarks in Release mode, runs them, and merges
 # their JSON output into one report (default: BENCH_3.json in the repo root).
-# The scheduler world-scaling sweep (threads vs fibers vs events) is written
-# separately to BENCH_10.json and self-gates: fibers must beat threads on
-# wall time at every world size >= 256 ranks, the events backend must beat
-# fibers on wall time at >= 4096 ranks and on peak RSS at >= 16384 ranks,
-# and a 65536-rank failure-free world must complete within 10 s wall and
-# 4 GB VmHWM. The checkpoint-pipeline sweep (sync-full vs
+# The scheduler world-scaling sweep (threads vs events) is written
+# separately to BENCH_10.json and self-gates: events must beat threads on
+# wall time at every world size >= 256 ranks, and a 65536-rank
+# failure-free world must complete within 10 s wall and 4 GB VmHWM. The
+# checkpoint-pipeline sweep (sync-full vs
 # async-delta) is written to BENCH_8.json and self-gates on virtual-time
 # ratios: async-delta stall <= 0.5x sync-full at world >= 64, and delta
 # bytes-per-generation below full everywhere. The collective-selection
@@ -77,9 +76,8 @@ if [[ $QUICK -eq 0 ]]; then
 fi
 
 "$BUILD_DIR/bench_table1_call_rates" "${TABLE1_ARGS[@]}" --json "$TMP/table1.json"
-# --check is the scheduler gate: fibers beat threads at every world >= 256,
-# events beats fibers on wall at >= 4096 and on peak RSS at >= 16384, and
-# the 65536-rank world stays under 10 s / 4 GB.
+# --check is the scheduler gate: events beat threads at every world >= 256,
+# and the 65536-rank world stays under 10 s / 4 GB.
 "$BUILD_DIR/bench_world_scaling" "${SCALING_ARGS[@]}" --json "$OUT_SCALING" --check
 echo "wrote $OUT_SCALING"
 # --check is the pipeline gate: async-delta stall <= 0.5x sync-full at

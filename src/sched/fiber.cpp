@@ -126,7 +126,7 @@ void manatee_fiber_trampoline();
 
 namespace manatee::sched {
 
-// ---- guarded stacks ---------------------------------------------------------
+// ---- slab stacks ------------------------------------------------------------
 
 namespace {
 
@@ -137,21 +137,14 @@ std::size_t page_size() {
 
 }  // namespace
 
-StackPool::StackPool(std::size_t stack_bytes, bool slabbed)
-    : stack_bytes_(stack_bytes), slabbed_(slabbed) {
+StackPool::StackPool(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {
   MANATEE_REQUIRE(stack_bytes_ >= 4 * page_size(),
                   "fiber stacks need at least four pages");
 }
 
 StackPool::~StackPool() {
-  if (slabbed_) {
-    // Slab stacks are carved, never individually unmapped.
-    for (const auto& [base, bytes] : slabs_) ::munmap(base, bytes);
-    return;
-  }
-  for (const auto& tier : tiers_) {
-    for (const StackAllocation& s : tier) ::munmap(s.base, s.size);
-  }
+  // Stacks are carved, never individually unmapped.
+  for (const auto& [base, bytes] : slabs_) ::munmap(base, bytes);
 }
 
 int StackPool::tier_of(std::size_t high_water_bytes) noexcept {
@@ -176,27 +169,11 @@ StackAllocation StackPool::acquire() {
 StackAllocation StackPool::carve() {
   const std::size_t page = page_size();
   const std::size_t usable = (stack_bytes_ + page - 1) / page * page;
-  const std::size_t stride = usable + page;  // + gap/guard page below
+  const std::size_t stride = usable + page;  // + gap page below
 
   ++mapped_;
   StackAllocation s;
   s.size = stride;
-  s.slab = slabbed_;
-  if (!slabbed_) {
-    void* base = ::mmap(nullptr, stride, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    MANATEE_REQUIRE(base != MAP_FAILED,
-                    "fiber stack mmap failed — raise vm.max_map_count, lower "
-                    "SchedConfig::stack_bytes, or use MANATEE_SCHED=events "
-                    "(slab stacks) for very large worlds");
-    MANATEE_REQUIRE(::mprotect(base, page, PROT_NONE) == 0,
-                    "fiber stack guard-page mprotect failed");
-    s.base = base;
-    s.limit = static_cast<std::byte*>(base) + page;
-    s.top = static_cast<std::byte*>(base) + stride;
-    return s;
-  }
-
   if (carve_left_ == 0) {
     // One VMA per kSlabStacks stacks: MAP_NORESERVE so the untouched bulk
     // (gap pages, never-reached depths) costs neither commit charge nor
@@ -221,13 +198,7 @@ StackAllocation StackPool::carve() {
 }
 
 void StackPool::release(StackAllocation stack, std::size_t high_water_bytes) {
-  // The guard word is only readable once its page is committed; a stack
-  // that never came within a page of its limit cannot have crossed it.
-  if (stack.slab && high_water_bytes + page_size() >= stack.usable()) {
-    MANATEE_REQUIRE(detail::stack_guard_intact(stack),
-                    "fiber stack overflow detected (slab guard word "
-                    "clobbered) — raise SchedConfig::stack_bytes");
-  }
+  detail::check_stack_guard(stack, high_water_bytes);
   tiers_[tier_of(high_water_bytes)].push_back(stack);
 }
 
@@ -384,14 +355,19 @@ std::size_t decommit_stack_span(void* lo, void* hi) noexcept {
   return bytes;
 }
 
-bool stack_guard_intact(const StackAllocation& stack) noexcept {
+void check_stack_guard(const StackAllocation& stack,
+                       std::size_t high_water_bytes) {
+  if (high_water_bytes + page_size() < stack.usable()) return;
   std::uint64_t word = 0;
   std::memcpy(&word, stack.limit, sizeof(word));
-  return word == 0;
+  MANATEE_REQUIRE(word == 0,
+                  "fiber stack overflow detected (guard word clobbered) — "
+                  "raise sched::kFiberStackBytes");
 }
 
 bool stack_vacate_supported() noexcept {
-#if defined(MANATEE_ASAN_FIBERS) || defined(MANATEE_TSAN_FIBERS)
+#if defined(MANATEE_ASAN_FIBERS) || defined(MANATEE_TSAN_FIBERS) || \
+    !defined(MANATEE_FIBER_ASM_X86_64)
   return false;
 #else
   return true;

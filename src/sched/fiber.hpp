@@ -1,5 +1,5 @@
-// fiber.hpp — stackful cooperative fibers: the mechanism under the
-// FiberBackend (scheduler.hpp).
+// fiber.hpp — stackful cooperative fibers: the mechanism under the events
+// backend (FiberBackend, scheduler.hpp).
 //
 // A Fiber is a suspended computation with its own stack. Switching is
 // symmetric and explicit: `switch_context` saves the callee-saved register
@@ -8,20 +8,14 @@
 // ~20-instruction assembly routine (no sigprocmask syscall, unlike glibc's
 // swapcontext); other architectures fall back to ucontext.
 //
-// Stacks come in two flavours, chosen per pool:
-//
-//   * guarded (fibers backend): each stack is its own mmap with a PROT_NONE
-//     guard page below the usable range, so an overflow faults loudly.
-//     Costs 2 VMAs per stack — fine to ~16k ranks, fatal at 64k (the
-//     default vm.max_map_count is ~65530).
-//   * slabbed (events backend): stacks are carved out of large MAP_NORESERVE
-//     slabs, one VMA per ~64 stacks. Isolation is soft: an untouched gap
-//     page between neighbours (never committed unless overflowed into) and
-//     a guard word at `limit` that must stay zero, checked whenever the
-//     scheduler decommits or recycles the stack. This trades the hard
-//     guard-page fault for fitting 64k+ stacks under the VMA budget; the
-//     deliberate counterweight is that events-mode ranks park at the
-//     shallow top-level drive loop, so deep stacks are the exception.
+// Stacks are carved out of large MAP_NORESERVE slabs, one VMA per 64
+// stacks; a guard page per stack would cost 2 VMAs each and put 64k-rank
+// worlds over the default vm.max_map_count (~65530). Isolation is soft: an
+// untouched gap page between neighbours (never committed unless overflowed
+// into) and a guard word at `limit` that must stay zero, checked whenever
+// the scheduler vacates, decommits or recycles a stack that reached its
+// bottom page. The counterweight to the soft guard is that ranks park at
+// the shallow top-level drive loop, so deep stacks are the exception.
 //
 // Finished fibers return their stacks to per-depth free tiers (bucketed by
 // the observed high-water mark) because lifecycle chains create runtimes —
@@ -44,14 +38,13 @@
 
 namespace manatee::sched {
 
-/// One fiber stack: [gap/guard page][usable range). `top` is the highest
-/// usable address (stacks grow down).
+/// One fiber stack: [gap page][usable range). `top` is the highest usable
+/// address (stacks grow down).
 struct StackAllocation {
-  void* base = nullptr;   ///< start of the gap/guard page
-  std::size_t size = 0;   ///< total span including the gap/guard page
-  void* limit = nullptr;  ///< lowest usable address (gap page end)
+  void* base = nullptr;   ///< start of the gap page
+  std::size_t size = 0;   ///< total span including the gap page
+  void* limit = nullptr;  ///< lowest usable address (gap page end), guard word
   void* top = nullptr;    ///< highest usable address
-  bool slab = false;      ///< carved from a slab (soft guard) vs own mmap
 
   [[nodiscard]] std::size_t usable() const noexcept {
     return static_cast<std::size_t>(static_cast<std::byte*>(top) -
@@ -59,13 +52,11 @@ struct StackAllocation {
   }
 };
 
-/// Stack allocator with depth-tiered free lists. Not thread-safe; the
+/// Slab stack allocator with depth-tiered free lists. Not thread-safe; the
 /// owning scheduler serializes access under its own mutex.
 class StackPool {
  public:
-  /// `slabbed` selects the slab-carved soft-guard flavour (see file
-  /// comment); false keeps the one-mmap-per-stack guard-page flavour.
-  explicit StackPool(std::size_t stack_bytes, bool slabbed = false);
+  explicit StackPool(std::size_t stack_bytes);
   ~StackPool();
 
   StackPool(const StackPool&) = delete;
@@ -74,16 +65,14 @@ class StackPool {
   [[nodiscard]] StackAllocation acquire();
 
   /// Return a stack. `high_water_bytes` — the deepest observed use, 0 when
-  /// unknown — buckets it into a reuse tier and, for slab stacks that
-  /// plausibly reached their bottom page, arms the guard-word overflow
-  /// check (reading the word any earlier would commit an untouched page).
+  /// unknown — buckets it into a reuse tier and runs the guard-word
+  /// overflow check (detail::check_stack_guard).
   void release(StackAllocation stack, std::size_t high_water_bytes = 0);
 
   /// Stacks ever carved fresh (== acquire() calls that missed every tier).
   [[nodiscard]] std::uint64_t mapped() const noexcept { return mapped_; }
   /// acquire() calls served from a free tier (the reuse counter).
   [[nodiscard]] std::uint64_t reused() const noexcept { return reused_; }
-  [[nodiscard]] bool slabbed() const noexcept { return slabbed_; }
 
  private:
   static constexpr int kTierCount = 3;
@@ -94,7 +83,6 @@ class StackPool {
   [[nodiscard]] StackAllocation carve();
 
   std::size_t stack_bytes_;
-  bool slabbed_;
   std::vector<StackAllocation> tiers_[kTierCount];
   std::vector<std::pair<void*, std::size_t>> slabs_;  ///< mmap base, bytes
   std::byte* carve_next_ = nullptr;  ///< next un-carved stack in the slab
@@ -141,11 +129,11 @@ struct Fiber {
   /// kNotified. Deadline-heap entries are valid only while this is set.
   Waiter* active_waiter = nullptr;
   /// Lowest stack address estimated committed (observed sp minima, raised
-  /// again by decommits). Drives the high-water stats and the events-mode
-  /// page decommit of dead frames.
+  /// again by decommits). Drives the high-water stats and the page
+  /// decommit of dead frames.
   std::byte* committed_floor = nullptr;
 
-  // Events-mode stack vacating (FiberBackend::observe_stack_depth): while
+  // Stack vacating (FiberBackend::observe_stack_depth): while
   // the fiber is parked its live span [vacated_lo, stack.top) sits in this
   // heap buffer and every stack page is decommitted — a parked rank costs
   // O(live frame) heap bytes, not a page. dispatch() copies the span back
@@ -154,10 +142,13 @@ struct Fiber {
   // the buffer keeps its capacity across parks to avoid re-allocation.
   std::vector<std::byte> vacated_span;
   std::byte* vacated_lo = nullptr;
-  /// Index of this fiber's entry in the owning worker's deferred-decommit
-  /// list, -1 when none — lets a re-dispatch cancel the pending decommit in
-  /// O(1) instead of scanning the batch. Only used single-worker (deferral
-  /// is disabled across workers), so worker and list are unambiguous.
+  /// The worker whose deferred-decommit batch took this fiber's last
+  /// vacated span. Written at vacate, before the park is published, so the
+  /// re-dispatching worker (any worker) reads it without a lock.
+  std::int32_t decommit_batch = -1;
+  /// Index of this fiber's entry in that batch, -1 when none (cancelled or
+  /// flushed) — lets a re-dispatch cancel the pending decommit in O(1)
+  /// instead of scanning the batch. Guarded by the batch's lock.
   std::int32_t pending_decommit_slot = -1;
 };
 
@@ -213,14 +204,18 @@ struct StackSpan {
 /// restored from their heap copy regardless, and dead spans are dead.
 void decommit_stack_spans(const StackSpan* spans, std::size_t count) noexcept;
 
-/// Slab-stack overflow check: the guard word at `stack.limit` must still
-/// read zero. Only meaningful once the page is committed (caller gates on
-/// the observed high-water reaching the bottom page).
-[[nodiscard]] bool stack_guard_intact(const StackAllocation& stack) noexcept;
+/// Stack overflow check: throws when the guard word at `stack.limit` no
+/// longer reads zero. Runs only once the observed high-water mark reaches
+/// the bottom page — reading the word any earlier would commit an untouched
+/// page, and a stack that never came within a page of its limit cannot
+/// have crossed it.
+void check_stack_guard(const StackAllocation& stack,
+                       std::size_t high_water_bytes);
 
 /// Whether stack vacating (copy-out + full decommit of a parked stack) is
-/// usable in this build. False under ASan/TSan: the sanitizers keep shadow
-/// state for stack memory that a bulk memcpy restore would invalidate.
+/// usable in this build. False under ASan/TSan — the sanitizers keep shadow
+/// state for stack memory that a bulk memcpy restore would invalidate —
+/// and on the ucontext fallback, where the parked depth is not observable.
 [[nodiscard]] bool stack_vacate_supported() noexcept;
 
 /// The fiber's first and only frame, defined by the scheduler: runs

@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -44,8 +43,6 @@ const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kThreads:
       return "threads";
-    case Backend::kFibers:
-      return "fibers";
     case Backend::kEvents:
       return "events";
   }
@@ -54,10 +51,9 @@ const char* backend_name(Backend backend) noexcept {
 
 Backend parse_backend(const std::string& name) {
   if (name == "threads") return Backend::kThreads;
-  if (name == "fibers") return Backend::kFibers;
   if (name == "events") return Backend::kEvents;
   throw UsageError("unknown scheduler backend '" + name +
-                   "' (expected threads|fibers|events)");
+                   "' (expected threads|events)");
 }
 
 Backend default_backend() {
@@ -66,36 +62,14 @@ Backend default_backend() {
   // misconfiguration stays loud for every job of the process.
   static const Backend selected = [] {
     const char* env = std::getenv("MANATEE_SCHED");
-    if (env == nullptr || *env == '\0') return Backend::kThreads;
+    if (env == nullptr || *env == '\0') return Backend::kEvents;
     return parse_backend(env);
-  }();
-  return selected;
-}
-
-std::size_t default_stack_budget() {
-  static const std::size_t selected = [] {
-    const char* env = std::getenv("MANATEE_STACK_BUDGET_MB");
-    if (env == nullptr || *env == '\0') return std::size_t{40} << 20;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || errno != 0 ||
-        mb > (std::size_t{1} << 30)) {
-      throw UsageError(std::string("invalid MANATEE_STACK_BUDGET_MB '") + env +
-                       "' (expected a whole number of MiB)");
-    }
-    return static_cast<std::size_t>(mb) << 20;
   }();
   return selected;
 }
 
 Fiber* current_fiber() noexcept {
   return t_worker != nullptr ? t_worker->current : nullptr;
-}
-
-bool events_backend_active() noexcept {
-  return t_worker != nullptr && t_worker->current != nullptr &&
-         t_worker->backend->events();
 }
 
 void count_stackless_park() noexcept {
@@ -136,8 +110,6 @@ SchedStats run_tasks(const SchedConfig& config, int n, const TaskFn& task) {
     stats.workers = n;
     return stats;
   }
-  // kFibers and kEvents share the FiberBackend; events is the same engine
-  // with the continuation drive loop and slab stacks switched on.
   FiberBackend backend(config, n, task);
   return backend.run();
 }
@@ -145,10 +117,7 @@ SchedStats run_tasks(const SchedConfig& config, int n, const TaskFn& task) {
 // ---- FiberBackend -----------------------------------------------------------
 
 FiberBackend::FiberBackend(const SchedConfig& config, int n, const TaskFn& task)
-    : config_(config),
-      events_(config.backend == Backend::kEvents),
-      stacks_(config.stack_bytes,
-              /*slabbed=*/config.backend == Backend::kEvents) {
+    : stacks_(kFiberStackBytes) {
   MANATEE_REQUIRE(n >= 0, "task count must be non-negative");
   int workers = config.workers;
   if (workers <= 0) {
@@ -156,8 +125,10 @@ FiberBackend::FiberBackend(const SchedConfig& config, int n, const TaskFn& task)
   }
   workers_ = std::max(1, std::min(workers, std::max(n, 1)));
   shards_.reserve(static_cast<std::size_t>(workers_));
+  decommits_.reserve(static_cast<std::size_t>(workers_));
   for (int i = 0; i < workers_; ++i) {
     shards_.push_back(std::make_unique<ReadyShard>());
+    decommits_.push_back(std::make_unique<DecommitBatch>());
   }
   fibers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -245,8 +216,8 @@ void FiberBackend::worker_loop(Worker& worker) {
       } else {
         // Stackless continuation: runs to completion right here on the
         // worker's own stack, no fiber switch, no scheduler lock. This is
-        // the events-mode hot path — one queued wake progresses a rank's
-        // collective without touching its (possibly decommitted) stack.
+        // the hot path — one queued wake progresses a rank's collective
+        // without touching its (possibly vacated) stack.
         item.fn(item.arg, item.epoch);
       }
       continue;
@@ -333,20 +304,9 @@ void FiberBackend::run_fiber(Worker& worker, Fiber* fiber) {
     fiber->started = true;
   }
   if (fiber->vacated_lo != nullptr) {
-    // Cancel a still-deferred decommit first: the pages are intact, and
-    // the entry must not outlive the restore (a later flush would zero the
-    // then-running stack). O(1) via the fiber's back-index into the batch.
-    if (fiber->pending_decommit_slot >= 0) {
-      auto& list = worker.pending_decommit;
-      const auto slot = static_cast<std::size_t>(fiber->pending_decommit_slot);
-      list[slot] = list.back();
-      list.pop_back();
-      if (slot < list.size()) {
-        list[slot].fiber->pending_decommit_slot =
-            static_cast<std::int32_t>(slot);
-      }
-      fiber->pending_decommit_slot = -1;
-    }
+    // Cancel a still-deferred decommit first: the entry must not outlive
+    // the restore (a later flush would zero the then-running stack).
+    cancel_decommit(fiber);
     // Repopulate the vacated live span in place — same addresses, so the
     // saved stack pointer and every frame link are valid again. Nobody
     // else can touch this fiber between the pop that handed it to us and
@@ -355,11 +315,9 @@ void FiberBackend::run_fiber(Worker& worker, Fiber* fiber) {
     std::memcpy(fiber->vacated_lo, fiber->vacated_span.data(),
                 fiber->vacated_span.size());
     // Return the buffer to the worker's pool rather than keep it on the
-    // fiber: under the stack budget only a slice of the fleet is vacated
-    // at any instant, and per-fiber retained capacities would accumulate
-    // to every-fiber-ever-vacated — tens of MiB that defeat the diet. The
-    // pool bounds the footprint by the peak number of concurrently
-    // vacated fibers and spares a malloc/free pair per park cycle.
+    // fiber: a running fiber then holds no heap copy, so the retained
+    // capacity is bounded by the peak number of concurrently vacated
+    // fibers, and the pool spares a malloc/free pair per park cycle.
     fiber->vacated_span.clear();
     worker.span_pool.push_back(std::move(fiber->vacated_span));
     fiber->vacated_span = {};
@@ -384,18 +342,52 @@ void FiberBackend::run_fiber(Worker& worker, Fiber* fiber) {
   process_pending_locked(worker);
 }
 
+void FiberBackend::defer_decommit(Worker& worker, Fiber* fiber,
+                                  detail::StackSpan span) {
+  DecommitBatch& batch = *decommits_[static_cast<std::size_t>(worker.index)];
+  bool full = false;
+  {
+    common::MutexLock lock(batch.batch_mutex);
+    fiber->decommit_batch = worker.index;
+    fiber->pending_decommit_slot =
+        static_cast<std::int32_t>(batch.entries.size());
+    batch.entries.push_back({fiber, span});
+    full = batch.entries.size() >= kVacateBatch;
+  }
+  if (full) flush_pending_decommits(worker);
+}
+
+void FiberBackend::cancel_decommit(Fiber* fiber) {
+  DecommitBatch& batch =
+      *decommits_[static_cast<std::size_t>(fiber->decommit_batch)];
+  common::MutexLock lock(batch.batch_mutex);
+  if (fiber->pending_decommit_slot < 0) return;  // already flushed
+  // O(1) via the fiber's back-index: move the last entry into the hole.
+  auto& list = batch.entries;
+  const auto slot = static_cast<std::size_t>(fiber->pending_decommit_slot);
+  list[slot] = list.back();
+  list.pop_back();
+  if (slot < list.size()) {
+    list[slot].fiber->pending_decommit_slot = static_cast<std::int32_t>(slot);
+  }
+  fiber->pending_decommit_slot = -1;
+}
+
 void FiberBackend::flush_pending_decommits(Worker& worker) {
-  if (worker.pending_decommit.empty()) return;
-  // Every listed fiber is parked (cancellation removed any that came back),
-  // so all spans are quiescent: batch them into one syscall.
+  DecommitBatch& batch = *decommits_[static_cast<std::size_t>(worker.index)];
+  common::MutexLock lock(batch.batch_mutex);
+  if (batch.entries.empty()) return;
+  // Every listed fiber is parked (a re-dispatch cancels its entry under
+  // this lock first), so all spans are quiescent: batch them into one
+  // syscall, still under the lock so no restore can race it.
   std::vector<detail::StackSpan> spans;
-  spans.reserve(worker.pending_decommit.size());
-  for (const auto& entry : worker.pending_decommit) {
+  spans.reserve(batch.entries.size());
+  for (const auto& entry : batch.entries) {
     entry.fiber->pending_decommit_slot = -1;
     spans.push_back(entry.span);
   }
   detail::decommit_stack_spans(spans.data(), spans.size());
-  worker.pending_decommit.clear();
+  batch.entries.clear();
 }
 
 void FiberBackend::note_committed_growth(std::uint64_t grew) noexcept {
@@ -440,11 +432,9 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
         reinterpret_cast<std::uintptr_t>(p) / page * page);
   };
 
-  // Track the floor in whole pages: residency is page-granular, and the
-  // committed estimate both feeds the stats and gates the vacate policy
-  // against SchedConfig::stack_budget_bytes — byte-granular floors would
-  // undercount a one-page stack by almost half and let the fleet blow
-  // through the budget while the estimate still reads under it.
+  // Track the floor in whole pages: residency is page-granular, and a
+  // byte-granular floor would undercount a one-page stack by almost half
+  // in SchedStats::peak_committed.
   std::byte* sp_page = page_floor(sp);
   if (sp_page < limit) sp_page = limit;
   if (sp_page < fiber->committed_floor) {
@@ -454,9 +444,13 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
     note_committed_growth(grew);
   }
 
-  if (!events_ || !parked) return;
+  if (!parked) return;
+  // Both diets below recycle pages down to the floor: check the stack
+  // never ran past its limit first.
+  detail::check_stack_guard(
+      fiber->stack, static_cast<std::size_t>(top - fiber->committed_floor));
 
-  // Events-mode stack diet, strongest form first: vacate the whole stack.
+  // Stack diet, strongest form first: vacate the whole stack.
   // The live span [sp−128, top) — saved registers, the park frame, the
   // red zone — is copied into a heap buffer on the Fiber and every stack
   // page goes back to the kernel; dispatch() memcpys the bytes back to the
@@ -469,23 +463,10 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
   // restore). Also skipped under sanitizers (stack shadow state) and for
   // deep frames where the copy would outweigh the pages — all those cases
   // fall back to the partial decommit below.
-  // Adaptive gate: vacating trades wall time (copy out, refault on resume)
-  // for resident pages, so only do it while the fleet's committed stacks
-  // actually exceed the budget. Below it the pages are cheap and the park
-  // takes the free path; above it vacates outpace recommits until the
-  // estimate settles around the budget — small worlds never vacate at all.
   std::byte* live_lo = sp - 128 < limit ? limit : sp - 128;
   if (worker.pending_park->stack_quiescent_ &&
       detail::stack_vacate_supported() &&
-      (config_.stack_budget_bytes == 0 ||
-       committed_bytes_.load(std::memory_order_relaxed) >
-           config_.stack_budget_bytes) &&
       static_cast<std::size_t>(top - live_lo) <= kVacateMaxLiveBytes) {
-    if (fiber->stack.slab && fiber->committed_floor < limit + page) {
-      MANATEE_REQUIRE(detail::stack_guard_intact(fiber->stack),
-                      "fiber stack overflow detected (slab guard word "
-                      "clobbered) — raise SchedConfig::stack_bytes");
-    }
     // Zap only the span that can actually be resident — from the lowest
     // page this fiber ever touched (committed_floor tracks observed sp
     // minima) up to top. Zapping the full stack range would make the
@@ -504,21 +485,10 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
         std::memory_order_relaxed);
     fiber->committed_floor = top;
     stack_vacations_.fetch_add(1, std::memory_order_relaxed);
-    if (workers_ == 1) {
-      // Defer the decommit into a batch. The common short park is then
-      // free of syscalls entirely: the fiber re-dispatches, the restore
-      // cancels the entry, and the pages were never touched.
-      fiber->pending_decommit_slot =
-          static_cast<std::int32_t>(worker.pending_decommit.size());
-      worker.pending_decommit.push_back(
-          {fiber, detail::StackSpan{zap_lo, top}});
-      if (worker.pending_decommit.size() >= kVacateBatch) {
-        flush_pending_decommits(worker);
-      }
-    } else {
-      // Cross-worker re-dispatch makes deferral racy; decommit eagerly.
-      detail::decommit_stack_span(zap_lo, top);
-    }
+    // Defer the decommit into a batch. The common short park is then free
+    // of syscalls entirely: the fiber re-dispatches, the restore cancels
+    // the entry, and the pages were never touched.
+    defer_decommit(worker, fiber, detail::StackSpan{zap_lo, top});
     return;
   }
 
@@ -529,17 +499,10 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
   // of the run.
   std::byte* dead_hi = page_floor(sp - 128);
   std::byte* dead_lo = page_floor(fiber->committed_floor);
-  if (dead_lo < limit) dead_lo = limit;  // gap/guard page stays untouched
+  if (dead_lo < limit) dead_lo = limit;  // gap page stays untouched
   if (dead_hi <= dead_lo ||
       static_cast<std::size_t>(dead_hi - dead_lo) < 4 * page) {
     return;  // not worth a syscall
-  }
-  if (fiber->stack.slab && fiber->committed_floor < limit + page) {
-    // The stack reached its bottom page: the guard word is committed and
-    // readable — check it before recycling those pages.
-    MANATEE_REQUIRE(detail::stack_guard_intact(fiber->stack),
-                    "fiber stack overflow detected (slab guard word "
-                    "clobbered) — raise SchedConfig::stack_bytes");
   }
   if (detail::decommit_stack_span(dead_lo, dead_hi) == 0) return;
   if (dead_hi > fiber->committed_floor) {
@@ -576,11 +539,15 @@ void FiberBackend::process_pending_locked(Worker& worker) {
       // fiber re-observes its own depth from scratch).
       committed_bytes_.fetch_sub(high_water, std::memory_order_relaxed);
     }
-    if (events_ && fiber->stack.base != nullptr && high_water > 0) {
-      // Hand the released stack's touched pages back to the kernel before
-      // pooling it. Without this, the finish wave re-commits every fleet
-      // stack (each fiber's last dispatch restored its pages) and the
-      // job's peak RSS lands exactly there, at world-size × page.
+    // Pool first: release() reads the guard word, which the decommit below
+    // would zero.
+    stacks_.release(fiber->stack, high_water);
+    if (fiber->stack.base != nullptr && high_water > 0) {
+      // Hand the released stack's touched pages back to the kernel (the
+      // pool cannot hand it out before mutex_ drops). Without this, the
+      // finish wave re-commits every fleet stack (each fiber's last
+      // dispatch restored its pages) and the job's peak RSS lands exactly
+      // there, at world-size × page.
       const std::size_t page = detail::stack_page_bytes();
       auto floor_addr = reinterpret_cast<std::uintptr_t>(
                             fiber->committed_floor) / page * page;
@@ -590,7 +557,6 @@ void FiberBackend::process_pending_locked(Worker& worker) {
       detail::decommit_stack_span(lo, fiber->stack.top);
     }
     fiber->vacated_span = {};  // release the heap copy with the stack
-    stacks_.release(fiber->stack, high_water);
     fiber->stack = StackAllocation{};
     fiber->committed_floor = nullptr;
     detail::destroy_fiber_context(fiber);

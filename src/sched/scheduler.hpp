@@ -1,35 +1,31 @@
-// scheduler.hpp — the rank scheduler: run N rank tasks under one of three
+// scheduler.hpp — the rank scheduler: run N rank tasks under one of two
 // backends.
 //
-//   * ThreadBackend — one OS thread per rank (the historical model, and
-//     still the default): simple, preemptive, but futex-bound once rank
-//     ping-pong dominates and capped at a few thousand ranks per process.
-//   * FiberBackend — N stackful fibers multiplexed onto a worker pool
-//     sized to hardware concurrency. Ranks block cooperatively through
-//     sched::Waiter (waiter.hpp): a park suspends the fiber in user space
-//     and the delivery that satisfies its declared interest re-enqueues
-//     exactly that fiber. On the 1-CPU figure box this turns every
-//     rank-to-rank hop from a ~2.5 µs futex round trip into a ~100 ns
-//     context switch, which is what lets 1k–16k-rank worlds run at all.
-//   * Events mode (kEvents) — the FiberBackend with the hybrid
-//     event-driven drive loop switched on (DESIGN.md §12): collectives are
-//     progressed by continuations that run directly on the worker stack
-//     (sched::Waiter in continuation mode), the rank fiber parks once per
-//     collective at its shallow top-level frame, and stacks live in
-//     MAP_NORESERVE slabs with dead pages decommitted at park. A parked
-//     rank then costs O(bytes of its wait record), not a guard-paged
-//     256 KiB stack — the difference between 16k and 64k+ ranks fitting in
-//     one process.
+//   * threads — one OS thread per rank: simple and preemptive, but
+//     futex-bound once rank ping-pong dominates and capped at a few
+//     thousand ranks per process. Kept as the reference backend the
+//     cross-backend equivalence suite (tests/sched) compares against.
+//   * events (the default) — FiberBackend: N stackful fibers multiplexed
+//     onto a worker pool sized to hardware concurrency, with the hybrid
+//     event-driven drive loop (DESIGN.md §8). Ranks block cooperatively
+//     through sched::Waiter (waiter.hpp): a park suspends the fiber in user
+//     space and the delivery that satisfies its declared interest
+//     re-enqueues exactly that fiber, so a rank-to-rank hop is a ~100 ns
+//     context switch instead of a ~2.5 µs futex round trip. Collectives
+//     are progressed by continuations that run directly on the worker
+//     stack (Waiter in continuation mode); the rank fiber parks once per
+//     collective at its shallow top-level frame, and a quiescent shallow
+//     park vacates its stack to the heap. Stacks live in MAP_NORESERVE
+//     slabs, so a parked rank costs O(bytes of its live frame) — the
+//     difference between 16k and 64k+ ranks fitting in one process.
 //
 // Selection is per job via SchedConfig (RuntimeConfig::sched); the
-// MANATEE_SCHED environment variable ("threads" | "fibers" | "events")
-// overrides the built-in default so whole suites (e.g. the nightly
-// lifecycle soak) can be flipped wholesale — anything else is a loud
-// UsageError, never a silent threads fallback. Semantics are
+// MANATEE_SCHED environment variable ("threads" | "events") overrides the
+// built-in default so whole suites can be flipped wholesale — anything
+// else is a loud UsageError, never a silent fallback. Semantics are
 // backend-independent by construction — virtual-time merges happen at
-// observation points only (DESIGN.md §8) — and the cross-backend
-// equivalence suite (tests/sched) holds all three backends to bit-identical
-// results.
+// observation points only (DESIGN.md §8) — and the equivalence suite holds
+// both backends to bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -50,40 +46,27 @@
 
 namespace manatee::sched {
 
-enum class Backend { kThreads, kFibers, kEvents };
+enum class Backend { kThreads, kEvents };
 
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
-/// Parse "threads" / "fibers" / "events" (throws UsageError on anything
-/// else).
+/// Parse "threads" / "events" (throws UsageError on anything else).
 [[nodiscard]] Backend parse_backend(const std::string& name);
 
-/// Process default: MANATEE_SCHED when set, else kThreads. Throws
+/// Process default: MANATEE_SCHED when set, else kEvents. Throws
 /// UsageError when MANATEE_SCHED names an unknown backend — a suite run
-/// with a typo'd backend must fail, not silently measure threads.
+/// with a typo'd backend must fail, not silently measure the default.
 [[nodiscard]] Backend default_backend();
 
-/// Process default for SchedConfig::stack_budget_bytes: 40 MiB, overridden
-/// by MANATEE_STACK_BUDGET_MB (whole mebibytes; 0 = always vacate). Throws
-/// UsageError on a malformed value — a suite run with a typo'd budget must
-/// fail, not silently measure the default.
-[[nodiscard]] std::size_t default_stack_budget();
+/// Usable bytes per fiber stack (a gap page is added on top). Rank bodies
+/// keep bulk data on the heap, so this is deliberately small: at 16k+ ranks
+/// stacks are the dominant address-space cost.
+inline constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
 struct SchedConfig {
   Backend backend = default_backend();
   /// FiberBackend worker threads; 0 = min(hardware_concurrency, tasks).
   int workers = 0;
-  /// Usable bytes per fiber stack (a guard/gap page is added on top). Rank
-  /// bodies keep bulk data on the heap, so the default is deliberately
-  /// small: at 16k+ ranks stacks are the dominant address-space cost.
-  std::size_t stack_bytes = 256 * 1024;
-  /// Events mode: the committed fiber-stack budget. Parked stacks are
-  /// vacated to the heap only while the fleet's committed estimate exceeds
-  /// this, so small worlds never pay the copy + refault tax and large
-  /// worlds self-regulate committed stack bytes down to about the budget
-  /// (the vacate rate tracks the recommit rate). 0 = vacate every eligible
-  /// park unconditionally (strictest diet, highest per-park cost).
-  std::size_t stack_budget_bytes = default_stack_budget();
 };
 
 /// Counters reported by a FiberBackend run (all zero under threads except
@@ -94,13 +77,12 @@ struct SchedStats {
   std::uint64_t stacks_reused = 0;   ///< stacks served from the free tiers
   std::uint64_t dispatches = 0;      ///< fiber activations (worker→fiber)
   /// Peak estimated committed fiber-stack bytes (observed sp high-water
-  /// minus decommits). The per-rank memory-diet headline number: events
-  /// mode must beat fibers here at large worlds.
+  /// minus decommits and vacates): the per-rank memory-diet number.
   std::uint64_t peak_committed = 0;
-  std::uint64_t stackless_parks = 0;  ///< events: continuation-armed waits
-  std::uint64_t fiber_fallbacks = 0;  ///< events: stackful drive fallbacks
-  /// Events: parks whose whole stack was vacated to the heap (the parked
-  /// rank held zero committed stack pages until re-dispatch).
+  std::uint64_t stackless_parks = 0;  ///< continuation-armed waits
+  std::uint64_t fiber_fallbacks = 0;  ///< stackful drive fallbacks
+  /// Parks whose whole stack was vacated to the heap (the parked rank held
+  /// zero committed stack pages until re-dispatch).
   std::uint64_t stack_vacations = 0;
 };
 
@@ -113,14 +95,12 @@ using TaskFn = std::function<void(int)>;
 SchedStats run_tasks(const SchedConfig& config, int n, const TaskFn& task);
 
 /// The fiber hosting the calling context, or nullptr on a plain thread.
+/// Non-null is the gate for the stackless drive loop
+/// (umpi::Rank::drive_coll).
 [[nodiscard]] Fiber* current_fiber() noexcept;
 
-/// True when the calling context is a fiber of an events-mode scheduler —
-/// the gate for the stackless drive loop (umpi::Rank::drive_coll).
-[[nodiscard]] bool events_backend_active() noexcept;
-
-/// Events-mode telemetry: a collective wait served stacklessly / a wait
-/// that had to fall back to the stackful fiber path. No-ops elsewhere.
+/// Telemetry: a collective wait served stacklessly / a wait that had to
+/// fall back to the stackful fiber path. No-ops off the fiber backend.
 void count_stackless_park() noexcept;
 void count_fiber_fallback() noexcept;
 
@@ -130,8 +110,7 @@ void count_fiber_fallback() noexcept;
 /// livelock guard); on a thread, std::this_thread::yield().
 void yield();
 
-/// The FiberBackend (also the events backend — kEvents is this class with
-/// `events()` true). Normally driven through run_tasks; exposed so the
+/// The events backend. Normally driven through run_tasks; exposed so the
 /// scheduler unit tests can exercise park/unpark directly.
 class FiberBackend {
  public:
@@ -143,8 +122,6 @@ class FiberBackend {
 
   /// Run all fibers to completion. The calling thread doubles as worker 0.
   SchedStats run();
-
-  [[nodiscard]] bool events() const noexcept { return events_; }
 
   void note_stackless_park() noexcept {
     stackless_parks_.fetch_add(1, std::memory_order_relaxed);
@@ -166,17 +143,6 @@ class FiberBackend {
     Waiter* pending_park = nullptr;
     Fiber* pending_yield = nullptr;
     Fiber* pending_done = nullptr;
-    /// Single-worker events mode: vacated stacks whose decommit is deferred
-    /// into one batched process_madvise. An entry is cancelled when its
-    /// fiber re-dispatches before the flush — a short park then costs two
-    /// memcpys and no syscall or page refault at all. Every listed fiber is
-    /// parked and suspended at flush time, so the batch can never zero a
-    /// live stack (single worker: nothing dispatches concurrently).
-    struct PendingDecommit {
-      Fiber* fiber = nullptr;
-      detail::StackSpan span;
-    };
-    std::vector<PendingDecommit> pending_decommit;
     /// Recycled vacated-span buffers. Bounded by the peak number of
     /// concurrently vacated fibers on this worker, so it stays small while
     /// sparing a malloc/free pair per vacate/restore cycle.
@@ -202,10 +168,30 @@ class FiberBackend {
   /// One ready-queue shard (per worker, stealable). Its mutex sits BELOW
   /// the backend mutex (lock level 35 < 40 in scripts/lock_order.json) so
   /// wake paths that already hold mutex_ can push; continuation enqueues
-  /// touch only this lock — the events-mode fast path never takes mutex_.
+  /// touch only this lock — the continuation fast path never takes mutex_.
   struct alignas(64) ReadyShard {
     common::Mutex mutex;  // lock level 35: leaf below the scheduler mutex
     std::deque<ReadyItem> items MANATEE_GUARDED_BY(mutex);
+  };
+
+  /// A vacated stack span whose decommit is deferred.
+  struct PendingDecommit {
+    Fiber* fiber = nullptr;
+    detail::StackSpan span;
+  };
+
+  /// One worker's deferred vacate decommits, flushed in (at best) one
+  /// process_madvise when the worker runs out of ready work or the batch
+  /// fills. An entry is cancelled when its fiber re-dispatches before the
+  /// flush — a short park then costs two memcpys and no syscall or page
+  /// refault at all. The fiber may re-dispatch on any worker, so cancel
+  /// and flush both hold the batch lock, and a flush holds it across the
+  /// syscall: a cancel either removes its entry first or waits until the
+  /// pages are gone (its restore then refaults them). Every listed fiber
+  /// is parked, so a flush can never zero a live stack.
+  struct alignas(64) DecommitBatch {
+    common::Mutex batch_mutex;  // lock level 33: leaf, never held with another
+    std::vector<PendingDecommit> entries MANATEE_GUARDED_BY(batch_mutex);
   };
 
   /// A pending watchdog deadline. Anchored on the stable Fiber (never the
@@ -222,15 +208,20 @@ class FiberBackend {
   void worker_loop(Worker& worker);
   void run_fiber(Worker& worker, Fiber* fiber);
   void dispatch(Worker& worker, Fiber* fiber);
-  /// Record the suspended fiber's stack depth and, in events mode, hand
-  /// dead pages below a parked frame back to the kernel. Runs in the safe
+  /// Record the suspended fiber's stack depth and, on a park, vacate the
+  /// stack or hand dead pages below the frame back to the kernel. Runs in the safe
   /// window after dispatch() returned and before the park is published
   /// (process_pending_locked) — the fiber cannot be re-dispatched yet.
   void observe_stack_depth(Worker& worker);
   /// Charge `grew` bytes against the committed estimate and fold the new
   /// total into the running peak.
   void note_committed_growth(std::uint64_t grew) noexcept;
-  /// Issue every deferred stack decommit in (at best) one syscall.
+  /// Queue a vacated fiber's stack span on this worker's DecommitBatch.
+  void defer_decommit(Worker& worker, Fiber* fiber, detail::StackSpan span);
+  /// Drop a re-dispatching fiber's deferred decommit, if still queued.
+  void cancel_decommit(Fiber* fiber);
+  /// Issue every deferred stack decommit of this worker in (at best) one
+  /// syscall.
   void flush_pending_decommits(Worker& worker);
   /// Sleep on work_cv_ for up to `period` (idle worker).
   void wait_for_work_locked(std::chrono::milliseconds period)
@@ -271,8 +262,6 @@ class FiberBackend {
   void yield_current();
   [[noreturn]] void fiber_main(Fiber* fiber);
 
-  SchedConfig config_;
-  bool events_ = false;
   int workers_ = 1;
   // Lock level 40 in scripts/lock_order.json: acquired below the store's
   // interest mutex (park/notify arrive with the store lock held), above
@@ -283,6 +272,9 @@ class FiberBackend {
   std::condition_variable work_cv_;  // manatee-lint: allow(raw-condvar) — backend-internal worker wakeup, not a rank park site
   /// Ready work, sharded per worker. Never resized while workers run.
   std::vector<std::unique_ptr<ReadyShard>> shards_;
+  /// Deferred decommits, one batch per worker. Never resized while
+  /// workers run.
+  std::vector<std::unique_ptr<DecommitBatch>> decommits_;
   /// Items across all shards (signed: push/pop racing on different shards
   /// may transiently observe either order). Paired with sleepers_ as an
   /// eventcount: a pusher that sees sleepers_ > 0 after its increment

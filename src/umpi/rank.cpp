@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <tuple>
 
@@ -408,14 +407,12 @@ void Rank::drive(common::FunctionRef<bool()> done) {
 // ---- blocking collectives ------------------------------------------------------
 
 void Rank::drive_coll(NbcOp& op, bool stack_quiescent) {
-  static const bool disable_targeted =
-      std::getenv("MANATEE_NO_TARGETED_COLL") != nullptr;
-  if (disable_targeted || has_nbc_requests()) {
+  if (has_nbc_requests()) {
     // Other collectives may need progressing: fall back to wake-on-anything.
     drive([&] { return op.try_progress(*this); });
     return;
   }
-  if (sched::events_backend_active()) {
+  if (sched::current_fiber() != nullptr) {
     drive_coll_events(op, stack_quiescent);
     return;
   }
@@ -566,7 +563,7 @@ void Rank::run_coll(const CommPtr& comm, coll::CollKind kind,
   coll::CollArgs pooled = args;
   pooled.pool = &runtime_.fabric().pool();
   pooled.topo = &runtime_.topology();
-  // Events mode: stage the user's send/recv spans through per-rank heap
+  // Fiber backend: stage the user's send/recv spans through per-rank heap
   // bounce buffers. The op then never reads or writes this fiber's stack
   // (user buffers are often stack scalars — the bench's accumulator, a
   // barrier token), which is what lets the scheduler vacate the whole
@@ -574,7 +571,7 @@ void Rank::run_coll(const CommPtr& comm, coll::CollKind kind,
   // count/displacement spans are not staged, so those collectives run
   // correct-but-unvacated. recv is copied in BOTH directions: in, because
   // bcast and the in-place reductions read it; out, to deliver the result.
-  const bool bounce = sched::events_backend_active() &&
+  const bool bounce = sched::current_fiber() != nullptr &&
                       args.send_counts.empty() && args.send_displs.empty() &&
                       args.recv_counts.empty() && args.recv_displs.empty();
   if (bounce) {

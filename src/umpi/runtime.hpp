@@ -36,9 +36,10 @@ struct RuntimeConfig {
   /// ranks — it is part of the job configuration, exactly like world_size.
   coll::CollTuning coll{};
 
-  /// Rank scheduling backend: one OS thread per rank (default) or N rank
-  /// fibers multiplexed onto a worker pool (sched/scheduler.hpp). Purely an
-  /// execution-engine choice — results are bit-identical across backends.
+  /// Rank scheduling backend: N rank fibers multiplexed onto a worker pool
+  /// (events, the default) or one OS thread per rank (sched/scheduler.hpp).
+  /// Purely an execution-engine choice — results are bit-identical across
+  /// backends.
   sched::SchedConfig sched{};
 };
 
@@ -54,7 +55,7 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Launch one task per rank running `app` on the configured scheduler
-  /// backend (one OS thread per rank, or fibers on a worker pool) and
+  /// backend (fibers on a worker pool, or one OS thread per rank) and
   /// block until all finish. Exceptions thrown by rank tasks are captured
   /// and the first one is rethrown here. May be called once per Runtime.
   void run(const AppFn& app);

@@ -7,6 +7,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
+#include "harness/scenario.hpp"
 
 namespace manatee::ckpt {
 namespace {
@@ -60,8 +61,7 @@ TEST(CkptImage, SerializeDeserializeRoundTrip) {
 }
 
 TEST(CkptImage, FileRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "manatee_img_test";
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = harness::fresh_dir("img_test");
   const auto path = CkptImage::path_for(dir.string(), 2);
 
   const auto img = sample_image();
@@ -219,8 +219,7 @@ TEST(ImageFile, DeltaSurvivesSerializeParse) {
 }
 
 TEST(ImageFile, PeekHeaderWithoutCrc) {
-  const auto dir = std::filesystem::temp_directory_path() / "manatee_peek_test";
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = harness::fresh_dir("peek_test");
   const auto path = (dir / "img").string();
 
   const auto base = chunky_image(std::byte{1});

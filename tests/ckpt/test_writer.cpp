@@ -14,6 +14,7 @@
 
 #include "ckpt/generation.hpp"
 #include "common/error.hpp"
+#include "harness/scenario.hpp"
 
 namespace manatee::ckpt {
 namespace {
@@ -23,10 +24,7 @@ namespace fs = std::filesystem;
 struct TempDir {
   fs::path path;
   explicit TempDir(const std::string& tag)
-      : path(fs::temp_directory_path() / ("manatee_writer_" + tag)) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
+      : path(harness::fresh_dir("writer_" + tag)) {}
   ~TempDir() {
     std::error_code ec;
     fs::remove_all(path, ec);

@@ -1,6 +1,7 @@
 #include "harness/scenario.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -174,8 +175,29 @@ std::string Scenario::describe() const {
   return out;
 }
 
+namespace {
+
+/// This process's scratch root, `<tmp>/manatee_<pid>`, removed at exit.
+/// Two processes of one suite (parallel ctest, concurrent soak runs) then
+/// never share a directory, so one's fresh_dir cannot delete the other's
+/// image generations mid-run.
+const std::filesystem::path& process_root() {
+  struct Root {
+    std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                 ("manatee_" + std::to_string(::getpid()));
+    ~Root() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Root root;
+  return root.path;
+}
+
+}  // namespace
+
 std::string fresh_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("manatee_" + tag);
+  const auto dir = process_root() / tag;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();

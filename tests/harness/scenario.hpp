@@ -63,7 +63,7 @@ struct Scenario {
   split::Protocol protocol = split::Protocol::kCC;
   /// Collective-algorithm override (empty strings = heuristic selection).
   umpi::coll::CollTuning coll{};
-  /// Rank scheduling backend (threads vs fibers; defaults honor
+  /// Rank scheduling backend (events vs threads; defaults honor
   /// MANATEE_SCHED so whole suites can be flipped wholesale). Applied to
   /// the golden run and every lifecycle segment alike.
   sched::SchedConfig sched{};
@@ -93,7 +93,8 @@ struct ScenarioOutcome {
   std::string image_dir;
 };
 
-/// Fresh (emptied) scratch directory under the system temp dir.
+/// Fresh (emptied) scratch directory `<tmp>/manatee_<pid>/<tag>`: private
+/// to this process and removed with it at exit.
 [[nodiscard]] std::string fresh_dir(const std::string& tag);
 
 /// Engine-config builder for tests that drive engines directly (shared by

@@ -13,7 +13,6 @@
 // behaviour, or replay skip-counting.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -26,14 +25,8 @@
 namespace manatee::split {
 namespace {
 
+using harness::fresh_dir;
 using umpi::coll::CollKind;
-
-std::string fresh_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("manatee_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 /// Exact-arithmetic mixed-collective app: every collective folds int64
 /// values, so any correct algorithm must produce byte-identical state.

@@ -4,22 +4,17 @@
 // drain, and how targets cascade.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <set>
 
 #include "core/drain_graph.hpp"
+#include "harness/scenario.hpp"
 #include "split/engine.hpp"
 
 namespace manatee::split {
 namespace {
 
-std::string fresh_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() / ("manatee_fig_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+using harness::fresh_dir;
 
 /// Events for one rank after its request marker, up to the image write.
 std::vector<core::TraceEvent> drained_ops(const std::vector<core::TraceEvent>& ev,
@@ -60,7 +55,7 @@ TEST(PaperFigures, Fig2aSimpleContinuation) {
   EngineConfig config;
   config.runtime.world_size = 3;
   config.protocol = Protocol::kCC;
-  config.image_dir = fresh_dir("2a");
+  config.image_dir = fresh_dir("fig_2a");
   config.record_trace = true;
 
   Engine engine(config);
@@ -110,7 +105,7 @@ TEST(PaperFigures, Fig3aUnevenRates) {
   EngineConfig config;
   config.runtime.world_size = 6;
   config.protocol = Protocol::kCC;
-  config.image_dir = fresh_dir("3a");
+  config.image_dir = fresh_dir("fig_3a");
   config.failures.at_collectives = {9};
   config.record_trace = true;
 
@@ -160,7 +155,7 @@ TEST(PaperFigures, Fig3bCascadingTargets) {
   EngineConfig config;
   config.runtime.world_size = 5;
   config.protocol = Protocol::kCC;
-  config.image_dir = fresh_dir("3b");
+  config.image_dir = fresh_dir("fig_3b");
   config.record_trace = true;
   // Rank 1's {1,2} bcast must complete at the root without rank 2 (the
   // premise of the cascade below): pin the eager linear algorithm so a
@@ -243,7 +238,7 @@ TEST(PaperFigures, SimilarCommunicatorsShareClock) {
   EngineConfig config;
   config.runtime.world_size = 4;
   config.protocol = Protocol::kCC;
-  config.image_dir = fresh_dir("similar");
+  config.image_dir = fresh_dir("fig_similar");
   config.failures.at_collectives = {6};
   config.record_trace = true;
 

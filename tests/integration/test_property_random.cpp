@@ -5,11 +5,12 @@
 // scenarios far beyond the hand-written cases.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <string>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/drain_graph.hpp"
+#include "harness/scenario.hpp"
 #include "harness/seed_reporter.hpp"
 #include "split/engine.hpp"
 
@@ -214,18 +215,15 @@ TEST_P(RandomDrainP, SafeStateAndRestartEquivalence) {
     });
   }
 
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("manatee_prop_" + std::to_string(param.seed) + "_" +
-                    std::to_string(param.world) + "_" +
-                    std::to_string(param.trigger) +
-                    (param.protocol == Protocol::kTpc ? "t" : "c"));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = harness::fresh_dir(
+      "prop_" + std::to_string(param.seed) + "_" + std::to_string(param.world) +
+      "_" + std::to_string(param.trigger) +
+      (param.protocol == Protocol::kTpc ? "t" : "c"));
 
   EngineConfig config;
   config.runtime.world_size = param.world;
   config.protocol = param.protocol;
-  config.image_dir = dir.string();
+  config.image_dir = dir;
   config.failures.at_collectives = {param.trigger};
   config.stop_after_checkpoint = true;
   config.record_trace = true;

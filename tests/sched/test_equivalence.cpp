@@ -1,6 +1,6 @@
 // Cross-backend equivalence: the scheduler is purely an execution-engine
-// choice, so threads, fibers, and the hybrid event-driven backend must
-// produce identical results.
+// choice, so the events backend must produce the same results as the
+// threads reference backend.
 //
 // What "identical" can mean depends on the run shape:
 //
@@ -69,6 +69,13 @@ void expect_full_report_eq(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.image_bytes_total, b.image_bytes_total);
 }
 
+void expect_same_lifecycle(const ScenarioOutcome& a, const ScenarioOutcome& b) {
+  EXPECT_EQ(a.golden, b.golden);
+  EXPECT_EQ(a.chained, b.chained);
+  EXPECT_EQ(a.lifecycle.crashes, b.lifecycle.crashes);
+  EXPECT_EQ(a.lifecycle.completed, b.lifecycle.completed);
+}
+
 class EquivalenceWorlds : public ::testing::TestWithParam<int> {};
 
 TEST_P(EquivalenceWorlds, FailureFreeRunReportsAreBitIdentical) {
@@ -79,13 +86,10 @@ TEST_P(EquivalenceWorlds, FailureFreeRunReportsAreBitIdentical) {
                             split::protocol_name(protocol);
     const BackendRun threads =
         run_once(sched::Backend::kThreads, protocol, world, {}, tag);
-    for (const auto backend :
-         {sched::Backend::kFibers, sched::Backend::kEvents}) {
-      SCOPED_TRACE(sched::backend_name(backend));
-      const BackendRun other = run_once(backend, protocol, world, {}, tag);
-      expect_full_report_eq(threads.report, other.report);
-      EXPECT_EQ(threads.fingerprints, other.fingerprints);
-    }
+    const BackendRun events =
+        run_once(sched::Backend::kEvents, protocol, world, {}, tag);
+    expect_full_report_eq(threads.report, events.report);
+    EXPECT_EQ(threads.fingerprints, events.fingerprints);
   }
 }
 
@@ -97,17 +101,14 @@ TEST_P(EquivalenceWorlds, CheckpointRunsAgreeOnScheduleIndependentFields) {
                             split::protocol_name(protocol);
     const BackendRun threads =
         run_once(sched::Backend::kThreads, protocol, world, {3, 9}, tag);
-    for (const auto backend :
-         {sched::Backend::kFibers, sched::Backend::kEvents}) {
-      SCOPED_TRACE(sched::backend_name(backend));
-      const BackendRun other = run_once(backend, protocol, world, {3, 9}, tag);
-      EXPECT_EQ(threads.fingerprints, other.fingerprints);
-      EXPECT_EQ(threads.report.checkpoints, other.report.checkpoints);
-      EXPECT_EQ(threads.report.wrapper_collective_calls,
-                other.report.wrapper_collective_calls);
-      EXPECT_EQ(threads.report.wrapper_p2p_calls,
-                other.report.wrapper_p2p_calls);
-    }
+    const BackendRun events =
+        run_once(sched::Backend::kEvents, protocol, world, {3, 9}, tag);
+    EXPECT_EQ(threads.fingerprints, events.fingerprints);
+    EXPECT_EQ(threads.report.checkpoints, events.report.checkpoints);
+    EXPECT_EQ(threads.report.wrapper_collective_calls,
+              events.report.wrapper_collective_calls);
+    EXPECT_EQ(threads.report.wrapper_p2p_calls,
+              events.report.wrapper_p2p_calls);
   }
 }
 
@@ -122,11 +123,10 @@ TEST_P(LifecycleEquivalenceWorlds, CrashRestartChainsMatchAcrossBackends) {
   // harness asserts that), and the final state plus the deterministic
   // lifecycle shape must agree across backends.
   const int world = GetParam();
-  ScenarioOutcome outcomes[3];
+  ScenarioOutcome outcomes[2];
   int i = 0;
   for (const auto backend :
-       {sched::Backend::kThreads, sched::Backend::kFibers,
-        sched::Backend::kEvents}) {
+       {sched::Backend::kThreads, sched::Backend::kEvents}) {
     Scenario scenario;
     scenario.tag = "sched_eq_life_w" + std::to_string(world) + "_" +
                    sched::backend_name(backend);
@@ -138,23 +138,17 @@ TEST_P(LifecycleEquivalenceWorlds, CrashRestartChainsMatchAcrossBackends) {
     scenario.sched.backend = backend;
     outcomes[i++] = expect_scenario_roundtrip(scenario);
   }
-  for (int j = 1; j < 3; ++j) {
-    EXPECT_EQ(outcomes[0].golden, outcomes[j].golden);
-    EXPECT_EQ(outcomes[0].chained, outcomes[j].chained);
-    EXPECT_EQ(outcomes[0].lifecycle.crashes, outcomes[j].lifecycle.crashes);
-    EXPECT_EQ(outcomes[0].lifecycle.completed, outcomes[j].lifecycle.completed);
-  }
+  expect_same_lifecycle(outcomes[0], outcomes[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, LifecycleEquivalenceWorlds,
                          ::testing::Values(2, 4, 8, 16));
 
 TEST(LifecycleEquivalence, TwoPhaseCommitChainMatchesAcrossBackends) {
-  ScenarioOutcome outcomes[3];
+  ScenarioOutcome outcomes[2];
   int i = 0;
   for (const auto backend :
-       {sched::Backend::kThreads, sched::Backend::kFibers,
-        sched::Backend::kEvents}) {
+       {sched::Backend::kThreads, sched::Backend::kEvents}) {
     Scenario scenario;
     scenario.tag =
         std::string("sched_eq_life_tpc_") + sched::backend_name(backend);
@@ -166,12 +160,7 @@ TEST(LifecycleEquivalence, TwoPhaseCommitChainMatchesAcrossBackends) {
     scenario.sched.backend = backend;
     outcomes[i++] = expect_scenario_roundtrip(scenario);
   }
-  for (int j = 1; j < 3; ++j) {
-    EXPECT_EQ(outcomes[0].golden, outcomes[j].golden);
-    EXPECT_EQ(outcomes[0].chained, outcomes[j].chained);
-    EXPECT_EQ(outcomes[0].lifecycle.crashes, outcomes[j].lifecycle.crashes);
-    EXPECT_EQ(outcomes[0].lifecycle.completed, outcomes[j].lifecycle.completed);
-  }
+  expect_same_lifecycle(outcomes[0], outcomes[1]);
 }
 
 }  // namespace

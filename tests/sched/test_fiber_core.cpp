@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,24 +21,33 @@ namespace {
 
 using namespace std::chrono_literals;
 
-SchedConfig fibers(int workers = 1) {
+SchedConfig events(int workers = 1) {
   SchedConfig config;
-  config.backend = Backend::kFibers;
+  config.backend = Backend::kEvents;
   config.workers = workers;
   return config;
 }
 
 TEST(SchedBackend, ParseNames) {
   EXPECT_EQ(parse_backend("threads"), Backend::kThreads);
-  EXPECT_EQ(parse_backend("fibers"), Backend::kFibers);
   EXPECT_EQ(parse_backend("events"), Backend::kEvents);
-  // A typo must fail loudly, never silently fall back to threads.
+  // A typo — or the retired "fibers" backend — must fail loudly, never
+  // silently fall back to the default.
   EXPECT_THROW((void)parse_backend("coroutines"), UsageError);
   EXPECT_THROW((void)parse_backend(""), UsageError);
-  EXPECT_THROW((void)parse_backend("Fibers"), UsageError);
+  EXPECT_THROW((void)parse_backend("Events"), UsageError);
+  EXPECT_THROW((void)parse_backend("fibers"), UsageError);
   EXPECT_STREQ(backend_name(Backend::kThreads), "threads");
-  EXPECT_STREQ(backend_name(Backend::kFibers), "fibers");
   EXPECT_STREQ(backend_name(Backend::kEvents), "events");
+}
+
+TEST(SchedBackend, DefaultIsEventsUnlessOverridden) {
+  const char* env = std::getenv("MANATEE_SCHED");
+  const Backend expected = env != nullptr && *env != '\0'
+                               ? parse_backend(env)
+                               : Backend::kEvents;
+  EXPECT_EQ(default_backend(), expected);
+  EXPECT_EQ(SchedConfig{}.backend, expected);
 }
 
 TEST(SchedBackend, ThreadsRunEveryTask) {
@@ -53,9 +63,9 @@ TEST(SchedBackend, ThreadsRunEveryTask) {
   EXPECT_EQ(stats.stacks_mapped, 0u);
 }
 
-TEST(SchedBackend, FibersRunEveryTask) {
+TEST(SchedBackend, EventsRunEveryTask) {
   std::vector<std::atomic<int>> ran(64);
-  const auto stats = run_tasks(fibers(2), 64, [&](int i) {
+  const auto stats = run_tasks(events(2), 64, [&](int i) {
     ran[static_cast<std::size_t>(i)].store(1);
     EXPECT_NE(current_fiber(), nullptr);
   });
@@ -68,7 +78,7 @@ TEST(SchedBackend, YieldInterleavesDeterministicallyOnOneWorker) {
   // A single worker drains the ready deque FIFO, so two yielding fibers
   // must alternate exactly.
   std::vector<int> order;
-  run_tasks(fibers(1), 2, [&](int i) {
+  run_tasks(events(1), 2, [&](int i) {
     for (int k = 0; k < 4; ++k) {
       order.push_back(i);
       yield();
@@ -81,7 +91,7 @@ TEST(SchedBackend, YieldInterleavesDeterministicallyOnOneWorker) {
 TEST(SchedBackend, StacksAreReusedAcrossSequentialFibers) {
   // Run-to-completion tasks on one worker: only one stack is ever live, so
   // the pool maps one stack and recycles it for every later fiber.
-  const auto stats = run_tasks(fibers(1), 32, [](int) {});
+  const auto stats = run_tasks(events(1), 32, [](int) {});
   EXPECT_EQ(stats.stacks_mapped, 1u);
   EXPECT_EQ(stats.stacks_reused, 31u);
 }
@@ -89,7 +99,7 @@ TEST(SchedBackend, StacksAreReusedAcrossSequentialFibers) {
 TEST(SchedBackend, ConcurrentlyLiveFibersGetDistinctStacks) {
   // Every fiber yields once before finishing, so all four are live at once
   // and each needs its own stack.
-  const auto stats = run_tasks(fibers(1), 4, [](int) { yield(); });
+  const auto stats = run_tasks(events(1), 4, [](int) { yield(); });
   EXPECT_EQ(stats.stacks_mapped, 4u);
   EXPECT_EQ(stats.stacks_reused, 0u);
 }
@@ -111,7 +121,7 @@ std::uint64_t deep(int frames, std::uint64_t acc) {
 
 TEST(SchedBackend, DeepStacksSurviveSwitches) {
   std::vector<std::uint64_t> out(4);
-  run_tasks(fibers(1), 4, [&](int i) {
+  run_tasks(events(1), 4, [&](int i) {
     // ~300 frames x ~300B of live locals stays well inside the 256 KiB
     // default stack while exercising a real call chain across switches.
     out[static_cast<std::size_t>(i)] =
@@ -124,7 +134,7 @@ TEST(SchedBackend, DeepStacksSurviveSwitches) {
 }
 
 TEST(SchedBackend, RunTasksInsideFiberIsRejected) {
-  run_tasks(fibers(1), 1, [](int) {
+  run_tasks(events(1), 1, [](int) {
     EXPECT_THROW(run_tasks(SchedConfig{}, 1, [](int) {}), UsageError);
   });
 }
@@ -132,7 +142,7 @@ TEST(SchedBackend, RunTasksInsideFiberIsRejected) {
 TEST(SchedBackend, FiberLocalLogLabels) {
   // Each fiber's label must survive arbitrary interleavings with the other
   // fibers on the same OS thread (satellite: fiber-local log labels).
-  run_tasks(fibers(1), 4, [](int i) {
+  run_tasks(events(1), 4, [](int i) {
     const std::string mine = "fiber " + std::to_string(i);
     set_log_thread_label(mine);
     for (int k = 0; k < 3; ++k) {
@@ -175,7 +185,7 @@ TEST(Waiter, FiberParkAndNotify) {
   Waiter w;
   bool ready = false;
   bool woke = false;
-  run_tasks(fibers(1), 2, [&](int i) {
+  run_tasks(events(1), 2, [&](int i) {
     if (i == 0) {
       common::MutexLock lock(m);
       while (!ready) {
@@ -200,7 +210,7 @@ TEST(Waiter, NotifyWakesExactlyTheTargetedFiber) {
   Waiter waiters[kWaiters];
   bool ready[kWaiters] = {};
   std::vector<int> wake_order;
-  run_tasks(fibers(1), kWaiters + 1, [&](int i) {
+  run_tasks(events(1), kWaiters + 1, [&](int i) {
     if (i < kWaiters) {
       common::MutexLock lock(m);
       while (!ready[i]) {
@@ -226,18 +236,52 @@ TEST(Waiter, NotifyWakesExactlyTheTargetedFiber) {
   EXPECT_EQ(wake_order.front(), 2);
 }
 
-TEST(Waiter, FiberTimeoutExpiresViaIdleScan) {
+TEST(Waiter, FiberTimeoutExpiresViaDeadlineHeap) {
   const auto start = std::chrono::steady_clock::now();
-  run_tasks(fibers(1), 1, [&](int) {
+  run_tasks(events(1), 1, [&](int) {
     common::Mutex m;
     Waiter w;
     common::MutexLock lock(m);
     EXPECT_FALSE(
         w.park_until(m, std::chrono::steady_clock::now() + 20ms));
   });
-  // The idle worker scans parked deadlines every 100ms; expiry must land
-  // within a couple of scan periods, not hang.
+  // The idle worker sleeps until the deadline heap's earliest entry and
+  // expires it; the park must time out promptly, not hang.
   EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+}
+
+TEST(Waiter, QuiescentParkVacatesAndRestoresTheStack) {
+  // A park on a waiter that promises a quiescent stack hands the whole
+  // stack to the heap until re-dispatch; the restore must bring every live
+  // frame byte back to the same address.
+  common::Mutex m;
+  Waiter w;
+  bool ready = false;
+  std::uint64_t sum = 0;
+  const auto stats = run_tasks(events(1), 2, [&](int i) {
+    if (i == 0) {
+      volatile std::uint64_t local[64];
+      for (int k = 0; k < 64; ++k) local[k] = 0x9e3779b97f4a7c15ULL * (k + 1);
+      {
+        common::MutexLock lock(m);
+        w.set_stack_quiescent(true);
+        while (!ready) {
+          ASSERT_TRUE(w.park_until(m, std::chrono::steady_clock::now() + 5s));
+        }
+      }
+      for (int k = 0; k < 64; ++k) {
+        EXPECT_EQ(static_cast<std::uint64_t>(local[k]),
+                  0x9e3779b97f4a7c15ULL * (k + 1));
+        sum += local[k];
+      }
+    } else {
+      common::MutexLock lock(m);
+      ready = true;
+      w.notify();
+    }
+  });
+  EXPECT_NE(sum, 0u);
+  EXPECT_EQ(stats.stack_vacations, detail::stack_vacate_supported() ? 1u : 0u);
 }
 
 TEST(Waiter, PingPongManyRoundsWithoutLostWakeups) {
@@ -248,7 +292,7 @@ TEST(Waiter, PingPongManyRoundsWithoutLostWakeups) {
   common::Mutex m;
   Waiter waiters[2];
   int turn = 0;
-  run_tasks(fibers(2), 2, [&](int i) {
+  run_tasks(events(2), 2, [&](int i) {
     for (int round = 0; round < 50; ++round) {
       common::MutexLock lock(m);
       while (turn % 2 != i) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "common/error.hpp"
+#include "harness/scenario.hpp"
 #include "split/engine.hpp"
 
 namespace manatee::split {
@@ -157,9 +158,7 @@ TEST(Api, TriggerRequiresProtocol) {
 }
 
 TEST(Api, RegisteredStateSurvivesCapture) {
-  const auto dir = std::filesystem::temp_directory_path() / "manatee_api_state";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = harness::fresh_dir("api_state");
 
   EngineConfig config = basic(2, Protocol::kCC);
   config.image_dir = dir.string();
@@ -181,9 +180,7 @@ TEST(Api, RegisteredStateSurvivesCapture) {
 }
 
 TEST(Api, UnregisteredIrecvBufferFailsCheckpoint) {
-  const auto dir = std::filesystem::temp_directory_path() / "manatee_api_unreg";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = harness::fresh_dir("api_unreg");
 
   EngineConfig config = basic(2, Protocol::kCC);
   config.image_dir = dir.string();

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "common/stats.hpp"
+#include "harness/scenario.hpp"
 #include "split/engine.hpp"
 #include "workloads/comd_proxy.hpp"
 #include "workloads/lammps_proxy.hpp"
@@ -63,10 +64,8 @@ void expect_ckpt_restart_equivalent(const W& workload, int world,
                                     std::uint64_t trigger, const char* tag) {
   const auto native = run_fps(workload, world, Protocol::kNative);
 
-  const auto dir =
-      std::filesystem::temp_directory_path() / (std::string("manatee_wl_") + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir =
+      harness::fresh_dir(std::string("wl_") + tag);
 
   EngineConfig config;
   config.runtime.world_size = world;
